@@ -72,8 +72,8 @@ bench-full:
 # p99/req/s), the cluster scaling curve (coordinator fan-out at 1/2/4
 # workers), and the policy-synthesis pipeline (mine + synthesize +
 # verify on CC1), converted to JSON by internal/tools/benchjson and
-# archived by CI as BENCH_PR10.json (earlier PRs' reports stay committed
-# as history). The Fig3 sweep, recurring, and matrix pairs run 10
+# archived by CI as BENCH_PR10.json (earlier reports live in git
+# history). The Fig3 sweep, recurring, and matrix pairs run 10
 # iterations so their steady state dominates ns/op (the sweeps restore
 # pooled world snapshots after the first iteration instead of
 # rebuilding); the serving hit/load benchmarks run 200k iterations so

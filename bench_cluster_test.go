@@ -8,7 +8,7 @@
 // itself the useful number, because it bounds the coordinator's whole
 // overhead (partitioning, dispatch goroutines, heartbeats, merging) at
 // the difference between the workers=1 and workers=4 lines. Archived in
-// BENCH_PR8.json. Every iteration advances the observation tick, so each
+// BENCH_PR10.json. Every iteration advances the observation tick, so each
 // scan revalidates dirty subsystems through the epoch-delta path instead
 // of replaying a warm cache.
 package repro

@@ -2,7 +2,7 @@
 // response cache (internal/service/respcache). BenchmarkV1ResultsHit is
 // the contract benchmark — `make bench-guard` gates it at 0 allocs/op —
 // and BenchmarkServingLoad reports the loadgen-driven p99 and sustained
-// req/s archived in BENCH_PR8.json. State is synthetic (fabricated
+// req/s archived in BENCH_PR10.json. State is synthetic (fabricated
 // inspect results through the scheduler's runner hook), so these measure
 // serving, not scan compute; docs/SERVING.md records the expected numbers.
 package repro

@@ -60,13 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "worker count for parallel experiments (0 = GOMAXPROCS)")
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate on the observation surface (0 = off)")
 	chaosSeed := fs.Int64("chaosseed", 1, "seed for the deterministic fault streams")
-	snapshots := fs.Bool("snapshots", true, "reuse simulated worlds via copy-on-write snapshots (false = rebuild every world)")
 	prof := profiling.Register(fs)
 	version := fs.Bool("version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	experiments.SetSnapshots(*snapshots)
 	if *version {
 		fmt.Fprintln(stdout, buildinfo.String("leakscan"))
 		return 0
@@ -84,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *table1 || all {
-		r, err := experiments.Table1ChaosWorkers(spec, *jobs)
+		r, err := experiments.Table1Seeded(context.Background(), spec, 0, *jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -98,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, r)
 	}
 	if *discover || all {
-		r, err := experiments.DiscoveryChaosWorkers(spec, *jobs)
+		r, err := experiments.DiscoverySeeded(context.Background(), spec, 0, *jobs)
 		if err != nil {
 			return fail(err)
 		}

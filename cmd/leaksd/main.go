@@ -31,9 +31,6 @@
 //	GET  /v1/version      build info
 //
 // /v1 errors carry the structured envelope {"error":{"code","message"}}.
-// The pre-versioning routes (POST /scans, GET /results, …) remain as
-// byte-identical deprecated aliases — they answer with a Deprecation
-// header and a Link to their /v1 successor (policy in ARCHITECTURE.md).
 //
 // The /v1 read endpoints serve through an epoch-keyed response cache
 // (-respcache, default on): bodies render once per state epoch and replay

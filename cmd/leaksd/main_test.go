@@ -225,9 +225,9 @@ func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
 	}
 
 	// Liveness and build info.
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + "/v1/healthz")
 	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+		t.Fatalf("GET /v1/healthz: %v", err)
 	}
 	var health struct {
 		Status  string `json:"status"`
@@ -243,10 +243,10 @@ func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
 
 	// One real scan through the daemon (a single-provider inspection is the
 	// cheapest compute-bearing kind).
-	resp, err = http.Post(base+"/scans", "application/json",
+	resp, err = http.Post(base+"/v1/scans", "application/json",
 		strings.NewReader(`{"kind":"inspect","provider":"local"}`))
 	if err != nil {
-		t.Fatalf("POST /scans: %v", err)
+		t.Fatalf("POST /v1/scans: %v", err)
 	}
 	var job struct {
 		ID     string `json:"id"`
@@ -261,7 +261,7 @@ func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r, err := http.Get(fmt.Sprintf("%s/scans/%s", base, job.ID))
+		r, err := http.Get(fmt.Sprintf("%s/v1/scans/%s", base, job.ID))
 		if err != nil {
 			t.Fatalf("poll: %v", err)
 		}
@@ -286,9 +286,9 @@ func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
 	}
 
 	// Metrics moved.
-	r, err := http.Get(base + "/metrics")
+	r, err := http.Get(base + "/v1/metrics")
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	scrape, _ := io.ReadAll(r.Body)
 	r.Body.Close()

@@ -179,7 +179,7 @@ func FrequencyChannel() Channel {
 }
 
 // MatrixChannels returns the channel set of the runtime-aware matrix: the
-// 21 Table I families plus the frequency channel. Table1 keeps using
+// 21 Table I families plus the frequency channel. Table1Seeded keeps using
 // TableIChannels so the paper's table stays byte-identical; the matrix
 // sweep and discovery use this superset.
 func MatrixChannels() []Channel {

@@ -2,9 +2,7 @@ package defense
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/kernel"
 	"repro/internal/pseudofs"
 )
 
@@ -25,63 +23,57 @@ import (
 const DefaultMemLimitKB = 4 * 1024 * 1024
 
 // ApplyStatisticsFixes replaces the host-global performance-statistics
-// handlers with per-cgroup implementations.
+// handlers with per-cgroup implementations. Init-namespace views still go
+// to the handler each fix displaced, so the host's own reads are
+// untouched.
 func ApplyStatisticsFixes(fs *pseudofs.FS) {
 	k := fs.Kernel()
 
-	nsOf := func(v pseudofs.View) *kernel.NSSet {
-		if v.NS == nil {
-			return k.InitNS()
-		}
-		return v.NS
+	// fix answers container views of path with render and hands host
+	// views to the handler it displaces.
+	fix := func(path string, render func(dst []byte, v pseudofs.View) []byte) {
+		var host pseudofs.Handler
+		host = fs.Replace(path, func(dst []byte, v pseudofs.View) ([]byte, error) {
+			if v.IsHost() {
+				return host(dst, v)
+			}
+			return render(dst, v), nil
+		})
 	}
 
 	// /proc/stat: per-cgroup CPU accounting. The container sees exactly
 	// its quota's worth of CPUs, its own cpuacct-derived busy time, and a
 	// btime matching its own (namespaced) boot.
-	// The stage-3 handlers run only on defended hosts outside the
-	// measurement hot loop, so they keep their fmt-based renderers behind
-	// the StringHandler compat shim rather than the append fast path.
-	fs.Replace("/proc/stat", pseudofs.StringHandler(func(v pseudofs.View) (string, error) {
-		ns := nsOf(v)
-		if ns.IsInit() {
-			return renderHostStat(k), nil
-		}
+	fix("/proc/stat", func(dst []byte, v pseudofs.View) []byte {
 		cg := k.Cgroup(v.CgroupPath)
 		cores := float64(k.Options().Cores)
 		if cg.QuotaCores > 0 && cg.QuotaCores < cores {
 			cores = cg.QuotaCores
 		}
-		elapsed := k.Now() - ns.CreatedAt
+		elapsed := k.Now() - v.NS.CreatedAt
 		busyTicks := cg.CPUUsageNS / 1e9 * 100
 		totalTicks := elapsed * cores * 100
 		idleTicks := totalTicks - busyTicks
 		if idleTicks < 0 {
 			idleTicks = 0
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "cpu  %d 0 %d %d 0 0 0 0 0 0\n",
+		dst = fmt.Appendf(dst, "cpu  %d 0 %d %d 0 0 0 0 0 0\n",
 			int64(busyTicks*0.92), int64(busyTicks*0.08), int64(idleTicks))
 		n := int(cores + 0.999)
 		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, "cpu%d %d 0 %d %d 0 0 0 0 0 0\n", i,
+			dst = fmt.Appendf(dst, "cpu%d %d 0 %d %d 0 0 0 0 0 0\n", i,
 				int64(busyTicks*0.92/float64(n)), int64(busyTicks*0.08/float64(n)),
 				int64(idleTicks/float64(n)))
 		}
-		fmt.Fprintf(&b, "intr %d\n", int64(busyTicks*12))
-		fmt.Fprintf(&b, "ctxt %d\n", int64(busyTicks*9))
-		fmt.Fprintf(&b, "btime %d\n", k.Options().WallClockNow+int64(ns.CreatedAt))
-		fmt.Fprintf(&b, "processes %d\n", len(k.TasksInNS(ns))+2)
-		fmt.Fprintf(&b, "procs_running 1\nprocs_blocked 0\n")
-		return b.String(), nil
-	}))
+		dst = fmt.Appendf(dst, "intr %d\n", int64(busyTicks*12))
+		dst = fmt.Appendf(dst, "ctxt %d\n", int64(busyTicks*9))
+		dst = fmt.Appendf(dst, "btime %d\n", k.Options().WallClockNow+int64(v.NS.CreatedAt))
+		dst = fmt.Appendf(dst, "processes %d\n", len(k.TasksInNS(v.NS))+2)
+		return append(dst, "procs_running 1\nprocs_blocked 0\n"...)
+	})
 
 	// /proc/meminfo: the cgroup limit is the container's world.
-	fs.Replace("/proc/meminfo", pseudofs.StringHandler(func(v pseudofs.View) (string, error) {
-		ns := nsOf(v)
-		if ns.IsInit() {
-			return renderHostMeminfo(k), nil
-		}
+	fix("/proc/meminfo", func(dst []byte, v pseudofs.View) []byte {
 		cg := k.Cgroup(v.CgroupPath)
 		limit := cg.MemLimitKB
 		if limit == 0 {
@@ -92,9 +84,8 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 			used = limit
 		}
 		free := limit - used
-		var b strings.Builder
 		row := func(name string, kb uint64) {
-			fmt.Fprintf(&b, "%-16s%8d kB\n", name+":", kb)
+			dst = fmt.Appendf(dst, "%-16s%8d kB\n", name+":", kb)
 		}
 		row("MemTotal", limit)
 		row("MemFree", free)
@@ -106,19 +97,13 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 		row("SwapTotal", 0)
 		row("SwapFree", 0)
 		row("Dirty", 0)
-		return b.String(), nil
-	}))
+		return dst
+	})
 
 	// /proc/loadavg: the container's own run queue.
-	fs.Replace("/proc/loadavg", pseudofs.StringHandler(func(v pseudofs.View) (string, error) {
-		ns := nsOf(v)
-		if ns.IsInit() {
-			la := k.LoadAvgSnapshot()
-			return fmt.Sprintf("%.2f %.2f %.2f %d/%d %d\n",
-				la.Load1, la.Load5, la.Load15, la.Runnable, la.Total, la.LastPID), nil
-		}
+	fix("/proc/loadavg", func(dst []byte, v pseudofs.View) []byte {
 		demand := k.CgroupDemandCores(v.CgroupPath)
-		tasks := k.TasksInNS(ns)
+		tasks := k.TasksInNS(v.NS)
 		running := 0
 		maxPID := 1
 		for _, t := range tasks {
@@ -129,56 +114,7 @@ func ApplyStatisticsFixes(fs *pseudofs.FS) {
 				maxPID = t.NSPID
 			}
 		}
-		return fmt.Sprintf("%.2f %.2f %.2f %d/%d %d\n",
-			demand, demand, demand, running, len(tasks), maxPID), nil
-	}))
-}
-
-// renderHostStat re-renders the global /proc/stat for the init view (the
-// original handler is being replaced wholesale, so the host path must be
-// regenerated here).
-func renderHostStat(k *kernel.Kernel) string {
-	s := k.StatSnapshot()
-	var b strings.Builder
-	var tot [7]float64
-	for _, c := range s.PerCPU {
-		tot[0] += c.User
-		tot[1] += c.Nice
-		tot[2] += c.System
-		tot[3] += c.Idle
-		tot[4] += c.IOWait
-		tot[5] += c.IRQ
-		tot[6] += c.SoftIRQ
-	}
-	fmt.Fprintf(&b, "cpu  %d %d %d %d %d %d %d 0 0 0\n",
-		int64(tot[0]), int64(tot[1]), int64(tot[2]), int64(tot[3]),
-		int64(tot[4]), int64(tot[5]), int64(tot[6]))
-	for i, c := range s.PerCPU {
-		fmt.Fprintf(&b, "cpu%d %d %d %d %d %d %d %d 0 0 0\n", i,
-			int64(c.User), int64(c.Nice), int64(c.System), int64(c.Idle),
-			int64(c.IOWait), int64(c.IRQ), int64(c.SoftIRQ))
-	}
-	fmt.Fprintf(&b, "intr %d\nctxt %d\nbtime %d\nprocesses %d\nprocs_running %d\nprocs_blocked 0\n",
-		s.IntrTotal, s.CtxtSwitches, s.BootTime, s.Processes, s.ProcsRunning)
-	return b.String()
-}
-
-// renderHostMeminfo re-renders the global /proc/meminfo for the init view.
-func renderHostMeminfo(k *kernel.Kernel) string {
-	mi := k.MeminfoSnapshot()
-	var b strings.Builder
-	row := func(name string, kb uint64) {
-		fmt.Fprintf(&b, "%-16s%8d kB\n", name+":", kb)
-	}
-	row("MemTotal", mi.TotalKB)
-	row("MemFree", mi.FreeKB)
-	row("MemAvailable", mi.AvailableKB)
-	row("Buffers", mi.BuffersKB)
-	row("Cached", mi.CachedKB)
-	row("Active", mi.ActiveKB)
-	row("Inactive", mi.InactiveKB)
-	row("SwapTotal", mi.SwapTotalKB)
-	row("SwapFree", mi.SwapFreeKB)
-	row("Dirty", mi.DirtyKB)
-	return b.String()
+		return fmt.Appendf(dst, "%.2f %.2f %.2f %d/%d %d\n",
+			demand, demand, demand, running, len(tasks), maxPID)
+	})
 }

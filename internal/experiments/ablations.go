@@ -26,17 +26,12 @@ type AblationCalibrationResult struct {
 	}
 }
 
-// AblationCalibration quantifies what the calibration step buys: the same
-// trained model, evaluated on the SPEC subset with and without Formula 3,
-// at the default worker count.
-func AblationCalibration() (*AblationCalibrationResult, error) {
-	return AblationCalibrationWorkers(0)
-}
-
-// AblationCalibrationWorkers fans the per-benchmark on/off measurement
-// pairs out: each measureXiCalibrated call builds its own kernel and only
-// reads the shared trained model (immutable after Train), so the rows are
-// share-nothing and return in benchmark order.
+// AblationCalibrationWorkers quantifies what the calibration step buys: the
+// same trained model, evaluated on the SPEC subset with and without
+// Formula 3. The per-benchmark on/off measurement pairs fan out over
+// workers (0 = GOMAXPROCS): each measureXiCalibrated call builds its own
+// kernel and only reads the shared trained model (immutable after Train),
+// so the rows are share-nothing and return in benchmark order.
 func AblationCalibrationWorkers(workers int) (*AblationCalibrationResult, error) {
 	model, _, err := powerns.Train(powerns.TrainOptions{Seed: 21})
 	if err != nil {
@@ -125,14 +120,11 @@ type CrestPoint struct {
 	CoreSeconds float64
 }
 
-// AblationCrestThreshold sweeps the synergistic attack's crest percentile
-// and reports the peak/cost trade-off, at the default worker count.
-func AblationCrestThreshold() ([]CrestPoint, error) { return AblationCrestThresholdWorkers(0) }
-
-// AblationCrestThresholdWorkers is the crest sweep with an explicit worker
-// count: every percentile point rebuilds its own datacenter from the same
-// seed (share-nothing worlds differing only in the attack threshold), so
-// the points fan out in parallel and return in sweep order.
+// AblationCrestThresholdWorkers sweeps the synergistic attack's crest
+// percentile and reports the peak/cost trade-off. Every percentile point
+// rebuilds its own datacenter from the same seed (share-nothing worlds
+// differing only in the attack threshold), so the points fan out over
+// workers (0 = GOMAXPROCS) and return in sweep order.
 func AblationCrestThresholdWorkers(workers int) ([]CrestPoint, error) {
 	return parallel.Map(workers, []float64{50, 70, 80, 90, 95, 99}, func(_ int, pct float64) (CrestPoint, error) {
 		dc := cloud.New(cloud.Config{
@@ -175,14 +167,11 @@ type StrategyCost struct {
 	BillUSD     float64
 }
 
-// AblationStrategyCost compares continuous, periodic, and synergistic
-// attacks on identical worlds, including the metered bill each accrues,
-// at the default worker count.
-func AblationStrategyCost() ([]StrategyCost, error) { return AblationStrategyCostWorkers(0) }
-
-// AblationStrategyCostWorkers is the strategy comparison with an explicit
-// worker count: each strategy drives its own same-seed world, so the three
-// runs are share-nothing and fan out in parallel, rows in strategy order.
+// AblationStrategyCostWorkers compares continuous, periodic, and
+// synergistic attacks on identical worlds, including the metered bill each
+// accrues. Each strategy drives its own same-seed world, so the three runs
+// are share-nothing and fan out over workers (0 = GOMAXPROCS), rows in
+// strategy order.
 func AblationStrategyCostWorkers(workers int) ([]StrategyCost, error) {
 	run := func(strategy string) (StrategyCost, error) {
 		dc := cloud.New(cloud.Config{

@@ -68,21 +68,16 @@ type ChaosSweepResult struct {
 // DefaultChaosRates is the standard sweep grid.
 func DefaultChaosRates() []float64 { return []float64{0.01, 0.02, 0.05, 0.10, 0.20} }
 
-// ChaosSweep measures how the paper's three pipelines degrade as the fault
-// rate rises: each cell re-runs Table I, Fig. 3, and Fig. 8 under
+// ChaosSweepCtx measures how the paper's three pipelines degrade as the
+// fault rate rises: each cell re-runs Table I, Fig. 3, and Fig. 8 under
 // deterministic fault injection at that rate and checks the shape targets
 // against a chaos-free baseline. Cells are share-nothing (every experiment
 // builds its own worlds, and fault streams are salted per host/path), so
 // they fan out across workers with byte-identical results at any count.
-func ChaosSweep(rates []float64, seed int64, workers int) (*ChaosSweepResult, error) {
-	return ChaosSweepCtx(context.Background(), rates, seed, workers)
-}
-
-// ChaosSweepCtx is ChaosSweep with cooperative cancellation: each grid cell
-// re-runs three full pipelines, so this is the longest sweep in the
-// repository, and a daemon shutdown must be able to abandon the
-// not-yet-dispatched rates. A background context is byte-identical to
-// ChaosSweep.
+// Each cell re-runs three full pipelines, so this is the longest sweep in
+// the repository: cancelling ctx stops dispatching the remaining rates, so
+// a daemon shutdown can abandon them. nil rates selects
+// DefaultChaosRates.
 func ChaosSweepCtx(ctx context.Context, rates []float64, seed int64, workers int) (*ChaosSweepResult, error) {
 	if len(rates) == 0 {
 		rates = DefaultChaosRates()
@@ -114,7 +109,7 @@ func ChaosSweepCtx(ctx context.Context, rates []float64, seed int64, workers int
 func chaosCell(spec chaos.Spec, base *Table1Result) ChaosCell {
 	cell := ChaosCell{Rate: spec.Rate}
 
-	if t1, err := Table1ChaosWorkers(spec, 1); err != nil {
+	if t1, err := Table1Seeded(context.Background(), spec, 0, 1); err != nil {
 		cell.Errs = append(cell.Errs, fmt.Sprintf("table1: %v", err))
 	} else {
 		cell.Table1Agree = table1Agreement(base, t1)
@@ -128,7 +123,7 @@ func chaosCell(spec chaos.Spec, base *Table1Result) ChaosCell {
 		cell.MonitorFaults = f3.Synergistic.MonitorFaults
 	}
 
-	if f8, err := Fig8ChaosWorkers(spec, 1); err != nil {
+	if f8, err := Fig8Ctx(context.Background(), spec, 1); err != nil {
 		cell.Errs = append(cell.Errs, fmt.Sprintf("fig8: %v", err))
 	} else {
 		cell.MaxXi = f8.MaxXi

@@ -150,7 +150,7 @@ func fig3WithSeed(seed int64, spec chaos.Spec) (*Fig3Result, error) {
 	dcS := w.dc
 	rackS, csS := w.aux.(fig3World).rack, w.aux.(fig3World).cs
 	snap := w.snap
-	if snap == nil && SnapshotsEnabled() {
+	if snap == nil && snapshotsEnabled.Load() {
 		snap = dcS.Snapshot()
 	}
 	reset := func() (*cloud.Datacenter, *cloud.Rack, []*container.Container, error) {
@@ -232,21 +232,18 @@ type Fig3SweepResult struct {
 }
 
 // Fig3Sweep repeats Fig. 3 across n seeds at the default worker count.
-func Fig3Sweep(n int) (*Fig3SweepResult, error) { return Fig3SweepWorkers(n, 0) }
-
-// Fig3SweepWorkers is Fig3Sweep with an explicit worker count (the -j of
-// cmd/powersim). Every seed builds its own trio of worlds with per-seed
-// RNGs — share-nothing by construction — so the per-seed results are
-// fanned out in parallel while the floating-point reduction below runs
-// over the ordered result slice, keeping the statistics bit-identical to
-// the serial loop at any worker count.
-func Fig3SweepWorkers(n, workers int) (*Fig3SweepResult, error) {
-	return Fig3SweepCtx(context.Background(), n, workers)
+func Fig3Sweep(n int) (*Fig3SweepResult, error) {
+	return Fig3SweepCtx(context.Background(), n, 0)
 }
 
-// Fig3SweepCtx is Fig3SweepWorkers with cooperative cancellation: a daemon
-// shutdown stops dispatching seeds instead of orphaning the sweep. A
-// background context is byte-identical to Fig3SweepWorkers.
+// Fig3SweepCtx repeats Fig. 3 across n seeds (n <= 0 means 5) with an
+// explicit worker count (the -j of cmd/powersim; 0 = GOMAXPROCS). Every
+// seed builds its own trio of worlds with per-seed RNGs — share-nothing by
+// construction — so the per-seed results are fanned out in parallel while
+// the floating-point reduction below runs over the ordered result slice,
+// keeping the statistics bit-identical to the serial loop at any worker
+// count. Cancelling ctx stops dispatching seeds, so a daemon shutdown does
+// not orphan the sweep.
 func Fig3SweepCtx(ctx context.Context, n, workers int) (*Fig3SweepResult, error) {
 	if n <= 0 {
 		n = 5

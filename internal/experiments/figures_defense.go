@@ -132,35 +132,22 @@ type Fig8Result struct {
 	MaxXi float64
 }
 
-// Fig8 trains on the modeling set and evaluates the error ξ (Formula 4) on
-// the disjoint SPEC subset, with the power namespace fully installed, at
-// the default worker count.
-func Fig8() (*Fig8Result, error) { return Fig8Workers(0) }
-
-// Fig8Workers is Fig8 with an explicit worker count: the model is trained
-// once and read-only thereafter; each benchmark's ξ measurement builds its
-// own kernel, so the rows fan out in parallel. MaxXi is reduced over the
-// ordered row slice, never in the workers, keeping the figure byte-identical
-// at any worker count.
-func Fig8Workers(workers int) (*Fig8Result, error) {
-	return Fig8ChaosWorkers(chaos.Spec{}, workers)
-}
-
-// Fig8ChaosWorkers is Fig8Workers with fault injection on both halves of
-// the defense pipeline: training reads its RAPL counters through a
+// Fig8Ctx trains on the modeling set and evaluates the error ξ (Formula 4)
+// on the disjoint SPEC subset, with the power namespace fully installed.
+//
+// The model is trained once and read-only thereafter; each benchmark's ξ
+// measurement builds its own kernel, so the rows fan out over workers
+// (0 = GOMAXPROCS), and cancelling ctx stops dispatching them. MaxXi is
+// reduced over the ordered row slice, never in the workers, keeping the
+// figure byte-identical at any worker count.
+//
+// spec injects faults into both halves of the defense pipeline (the zero
+// Spec injects nothing): training reads its RAPL counters through a
 // perturbed stream (glitch-sample rejection must keep the regression
 // clean), and each ξ measurement's namespace calibrates against a perturbed
 // raw source (reset/regression intervals fall back to pure model
 // attribution). Ground-truth E_RAPL reads stay clean — ξ measures the
-// defense's accuracy, not the evaluator's. The zero Spec is exactly
-// Fig8Workers.
-func Fig8ChaosWorkers(spec chaos.Spec, workers int) (*Fig8Result, error) {
-	return Fig8Ctx(context.Background(), spec, workers)
-}
-
-// Fig8Ctx is Fig8ChaosWorkers with cooperative cancellation over the
-// per-benchmark ξ fan-out. A background context is byte-identical to
-// Fig8ChaosWorkers.
+// defense's accuracy, not the evaluator's.
 func Fig8Ctx(ctx context.Context, spec chaos.Spec, workers int) (*Fig8Result, error) {
 	model, _, err := powerns.Train(powerns.TrainOptions{Seed: 8, Chaos: spec})
 	if err != nil {

@@ -22,20 +22,12 @@ type MatrixResult struct {
 	Inspections []CloudInspection
 }
 
-// MatrixSweep runs the full matrix at the default worker count.
-func MatrixSweep() (*MatrixResult, error) { return MatrixSweepWorkers(0) }
-
-// MatrixSweepWorkers is MatrixSweep with an explicit worker count. Each
-// target is a share-nothing world, so the result is byte-identical at any
-// worker count.
-func MatrixSweepWorkers(workers int) (*MatrixResult, error) {
-	return MatrixSweepSeeded(context.Background(), chaos.Spec{}, 0, workers)
-}
-
-// MatrixSweepSeeded is the fully-threaded matrix entry point: chaos spec,
-// datacenter seed (0 = DefaultInspectSeed), context cancellation. It runs
-// as the first pass of fresh per-target sessions — all cache misses,
-// byte-identical to what a persistent MatrixSession serves warm.
+// MatrixSweepSeeded runs the full matrix: chaos spec, datacenter seed
+// (0 = DefaultInspectSeed), context cancellation, and a worker count
+// (0 = GOMAXPROCS). Each target is a share-nothing world, so the result is
+// byte-identical at any worker count. It runs as the first pass of fresh
+// per-target sessions — all cache misses, byte-identical to what a
+// persistent MatrixSession serves warm.
 func MatrixSweepSeeded(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*MatrixResult, error) {
 	ins, err := inspectProfiles(ctx, cloud.MatrixTargets(), workers, func(p cloud.ProviderProfile) (CloudInspection, error) {
 		s, err := NewInspectSession(p, spec, seed)
@@ -91,7 +83,7 @@ func InspectRuntimeChaosWorkers(name string, spec chaos.Spec, workers int) (*Mat
 // MatrixSession holds one persistent InspectSession per matrix target so
 // repeated sweeps reuse every target's incremental engine cache: on an
 // unadvanced world a warm Sweep re-renders nothing at all, where a cold
-// MatrixSweep rebuilds nine datacenters and re-renders every path.
+// MatrixSweepSeeded rebuilds nine datacenters and re-renders every path.
 type MatrixSession struct {
 	sessions []*InspectSession
 }

@@ -126,12 +126,21 @@ func (s *InspectSession) Advance(ticks int) {
 // EngineStats exposes the session engine's cache counters.
 func (s *InspectSession) EngineStats() engine.Stats { return s.eng.Stats() }
 
-// InspectProviderSeeded is InspectProviderChaos with the datacenter seed
-// threaded through: each seed builds a different simulated world (different
-// boot ids, task mixes, counter baselines), so a scan campaign across seeds
-// measures how stable a provider's leakage posture is across hosts rather
-// than re-measuring one frozen world. Seed 0 selects DefaultInspectSeed,
-// keeping the historical byte-identical output for every existing caller.
+// InspectProviderSeeded implements the right half of Fig. 1 for one
+// provider: it stands up a single-server cloud with that provider's
+// profile, launches a tenant container, lets the world run briefly, and
+// cross-validates the container view against the host view.
+//
+// spec arms the provider's observation surface with deterministic fault
+// injection (the zero Spec injects nothing). The detector's quorum reads
+// absorb transient faults; flapping masks degrade findings to partial
+// rather than flipping availability outright.
+//
+// seed selects the datacenter (0 = DefaultInspectSeed, the historical
+// byte-identical output): each seed builds a different simulated world
+// (different boot ids, task mixes, counter baselines), so a scan campaign
+// across seeds measures how stable a provider's leakage posture is across
+// hosts rather than re-measuring one frozen world.
 //
 // It runs as the first pass of a fresh InspectSession: all cache misses,
 // byte-identical to the direct serial cross-validation it replaces.

@@ -19,8 +19,8 @@ import (
 // what keeps every golden unchanged.
 
 var (
-	// snapshotsEnabled gates every restore-instead-of-rebuild path; the
-	// -snapshots=false escape hatch on the CLIs clears it.
+	// snapshotsEnabled gates every restore-instead-of-rebuild path;
+	// SetSnapshots(false) clears it.
 	snapshotsEnabled atomic.Bool
 
 	// snapshotRestores counts world restores that replaced a full rebuild
@@ -34,9 +34,6 @@ func init() { snapshotsEnabled.Store(true) }
 // Disabled, every seed loop and session rebuilds its worlds from scratch —
 // the output is byte-identical either way; only the time differs.
 func SetSnapshots(on bool) { snapshotsEnabled.Store(on) }
-
-// SnapshotsEnabled reports whether the snapshot fast path is active.
-func SnapshotsEnabled() bool { return snapshotsEnabled.Load() }
 
 // SnapshotRestores returns the number of world restores that replaced a
 // rebuild since process start.
@@ -73,7 +70,7 @@ func inspectPoolKey(kind, provider string, spec chaos.Spec, seed int64) string {
 // one (registered in the pool on first build). The second result is the
 // pool key to release when done — empty when the world is unpooled.
 func checkoutWorld(key string, build func() (*cloud.Datacenter, any, error)) (*pooledWorld, string, error) {
-	if !SnapshotsEnabled() {
+	if !snapshotsEnabled.Load() {
 		dc, aux, err := build()
 		if err != nil {
 			return nil, "", err

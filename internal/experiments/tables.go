@@ -31,31 +31,18 @@ type Table1Result struct {
 	Inspections []CloudInspection
 }
 
-// Table1 runs the leakage detector against the local testbed and all five
-// commercial cloud profiles at the default worker count.
-func Table1() (*Table1Result, error) { return Table1Workers(0) }
-
-// Table1Workers is Table1 with an explicit worker count: the six provider
-// datacenters are share-nothing worlds inspected in parallel, and the
-// rendered table is byte-identical at any worker count.
-func Table1Workers(workers int) (*Table1Result, error) {
-	return Table1ChaosWorkers(chaos.Spec{}, workers)
-}
-
-// Table1ChaosWorkers is Table1Workers under deterministic fault injection:
-// every provider's pseudo-file reads, energy counters, and thermal sensors
-// are perturbed at the spec's rate. The detector's quorum protocol keeps the
-// availability matrix stable at realistic fault rates; the zero Spec is
-// exactly Table1Workers.
-func Table1ChaosWorkers(spec chaos.Spec, workers int) (*Table1Result, error) {
-	return Table1Seeded(context.Background(), spec, 0, workers)
-}
-
-// Table1Seeded is the fully-threaded Table I entry point the service layer
-// (cmd/leaksd) calls: datacenter seed selection for seed-varied scan
-// campaigns (0 = DefaultInspectSeed) and context cancellation so a daemon
-// shutdown aborts the six-provider fan-out. Background context + seed 0 is
-// byte-identical to Table1ChaosWorkers.
+// Table1Seeded runs the leakage detector against the local testbed and all
+// five commercial cloud profiles. It is the one Table I entry point: the
+// CLIs and the service layer (cmd/leaksd) call it alike.
+//
+// The six provider datacenters are share-nothing worlds inspected over
+// workers (0 = GOMAXPROCS), and the rendered table is byte-identical at any
+// worker count. seed selects the datacenters for seed-varied scan campaigns
+// (0 = DefaultInspectSeed). spec perturbs every provider's pseudo-file
+// reads, energy counters, and thermal sensors at its rate; the detector's
+// quorum protocol keeps the availability matrix stable at realistic fault
+// rates, and the zero Spec injects nothing. Cancelling ctx aborts the
+// six-provider fan-out on a daemon shutdown.
 func Table1Seeded(ctx context.Context, spec chaos.Spec, seed int64, workers int) (*Table1Result, error) {
 	ins, err := InspectAllSeeded(ctx, spec, seed, workers)
 	if err != nil {

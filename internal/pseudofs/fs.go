@@ -69,20 +69,6 @@ func HostView(k *kernel.Kernel) View {
 // content unspecified — callers must discard it.
 type Handler func(dst []byte, v View) ([]byte, error)
 
-// StringHandler adapts a legacy string-returning renderer to the append
-// Handler signature. It keeps one allocation per render (the string), so
-// use it only off the hot path — e.g. defense fixes built around
-// namespace-aware accessors that were written before the append migration.
-func StringHandler(h func(v View) (string, error)) Handler {
-	return func(dst []byte, v View) ([]byte, error) {
-		s, err := h(v)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, s...), nil
-	}
-}
-
 // EnergyProvider supplies the content of the RAPL energy_uj files. The
 // default provider returns the host meter's counters to every reader — the
 // leak of Case Study II. The power-based namespace (internal/powerns)
@@ -256,10 +242,12 @@ func (fs *FS) add(path string, h Handler) {
 
 // Replace swaps the handler of an existing file — how stage-2 namespace
 // fixes retrofit leaky handlers with namespace-aware ones without changing
-// paths. It panics if the file does not exist (a fix for a non-existent
-// channel is always a bug).
-func (fs *FS) Replace(path string, h Handler) {
-	if _, ok := fs.files[path]; !ok {
+// paths — and returns the handler it displaced, so a fix can delegate the
+// views it leaves alone. It panics if the file does not exist (a fix for a
+// non-existent channel is always a bug).
+func (fs *FS) Replace(path string, h Handler) Handler {
+	old, ok := fs.files[path]
+	if !ok {
 		panic(fmt.Sprintf("pseudofs: Replace of unknown file %s", path))
 	}
 	fs.files[path] = h
@@ -267,6 +255,7 @@ func (fs *FS) Replace(path string, h Handler) {
 	// the incremental engine never serves a pre-fix render post-fix.
 	fs.replaceGen[path]++
 	fs.totalReplaceGen++
+	return old
 }
 
 // static registers a file whose content ignores the reader entirely.

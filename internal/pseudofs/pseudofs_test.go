@@ -354,10 +354,15 @@ func TestProcSelfNSIdentifiers(t *testing.T) {
 
 func TestReplaceSwapsHandlerAndPanicsOnUnknown(t *testing.T) {
 	k, fs := newHost(19)
-	fs.Replace("/proc/uptime", StringHandler(func(View) (string, error) { return "patched\n", nil }))
 	m := NewMount(fs, HostView(k), Policy{})
+	orig := mustRead(t, m, "/proc/uptime")
+	old := fs.Replace("/proc/uptime", func(dst []byte, _ View) ([]byte, error) { return append(dst, "patched\n"...), nil })
 	if got := mustRead(t, m, "/proc/uptime"); got != "patched\n" {
 		t.Fatalf("replace ineffective: %q", got)
+	}
+	// The displaced handler comes back intact.
+	if got, err := old(nil, HostView(k)); err != nil || string(got) != orig {
+		t.Fatalf("displaced handler = %q, %v; want the original %q", got, err, orig)
 	}
 	defer func() {
 		if recover() == nil {

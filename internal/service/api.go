@@ -15,7 +15,7 @@ import (
 // has defaults.
 type APIConfig struct {
 	Scheduler *Scheduler
-	// Version is the build-info string served by /healthz and /version.
+	// Version is the build-info string served by /v1/healthz and /v1/version.
 	Version string
 	// RequestTimeout bounds each non-streaming request's context
 	// (default 30s). The SSE endpoint is exempt: it lives until the
@@ -92,13 +92,6 @@ type api struct {
 // revalidation answers 304 for free. docs/SERVING.md documents the
 // contract.
 //
-// The pre-versioning routes (POST /scans, GET /scans, /scans/{id},
-// /results, /channels, /providers, /events, /metrics, /healthz, /version)
-// remain as byte-identical thin aliases: same payloads, same legacy
-// {"error":"..."} failure shape, no pagination. They answer with a
-// `Deprecation` header and a `Link: </v1/...>; rel="successor-version"`
-// pointer; see ARCHITECTURE.md for the deprecation policy.
-//
 // The handler is exactly what cmd/leaksd serves; tests drive it through
 // net/http/httptest.
 func NewHandler(cfg APIConfig) http.Handler {
@@ -147,9 +140,9 @@ func NewHandler(cfg APIConfig) http.Handler {
 	// and (on the read endpoints) the epoch-keyed response cache. Cached
 	// GETs short-circuit in ServeHTTP; their mux registrations exist so
 	// other methods keep 405 semantics.
-	mux.HandleFunc("POST /v1/scans", a.timed(a.postScanV1))
+	mux.HandleFunc("POST /v1/scans", a.timed(a.postScan))
 	mux.HandleFunc("GET /v1/scans", a.cachedHandler("/v1/scans"))
-	mux.HandleFunc("GET /v1/scans/{id}", a.timed(a.getScanV1))
+	mux.HandleFunc("GET /v1/scans/{id}", a.timed(a.getScan))
 	mux.HandleFunc("GET /v1/results", a.cachedHandler("/v1/results"))
 	mux.HandleFunc("GET /v1/matrix", a.cachedHandler("/v1/matrix"))
 	mux.HandleFunc("GET /v1/channels", a.cachedHandler("/v1/channels"))
@@ -170,19 +163,6 @@ func NewHandler(cfg APIConfig) http.Handler {
 	mux.HandleFunc("GET /v1/metrics", a.metrics)
 	mux.HandleFunc("GET /v1/healthz", a.timed(a.healthz))
 	mux.HandleFunc("GET /v1/version", a.cachedHandler("/v1/version"))
-
-	// Legacy aliases: byte-identical pre-/v1 behaviour plus deprecation
-	// headers. Handlers that never grew /v1-only behaviour are shared.
-	mux.HandleFunc("POST /scans", a.deprecated("/v1/scans", a.timed(a.postScanLegacy)))
-	mux.HandleFunc("GET /scans", a.deprecated("/v1/scans", a.timed(a.listScansLegacy)))
-	mux.HandleFunc("GET /scans/{id}", a.deprecated("/v1/scans/{id}", a.timed(a.getScanLegacy)))
-	mux.HandleFunc("GET /results", a.deprecated("/v1/results", a.timed(a.getResultsLegacy)))
-	mux.HandleFunc("GET /channels", a.deprecated("/v1/channels", a.timed(a.getChannels)))
-	mux.HandleFunc("GET /providers", a.deprecated("/v1/providers", a.timed(a.getProviders)))
-	mux.HandleFunc("GET /events", a.deprecated("/v1/events", a.events))
-	mux.HandleFunc("GET /metrics", a.deprecated("/v1/metrics", a.metrics))
-	mux.HandleFunc("GET /healthz", a.deprecated("/v1/healthz", a.timed(a.healthz)))
-	mux.HandleFunc("GET /version", a.deprecated("/v1/version", a.timed(a.version)))
 	return a
 }
 
@@ -193,24 +173,6 @@ func (a *api) timed(fn http.HandlerFunc) http.HandlerFunc {
 		defer cancel()
 		fn(w, r.WithContext(ctx))
 	}
-}
-
-// deprecated marks a legacy route: the response carries a Deprecation
-// header and a successor-version link so clients can discover the /v1
-// replacement mechanically. Body bytes are untouched.
-func (a *api) deprecated(successor string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h := w.Header()
-		h.Set("Deprecation", "true")
-		h.Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		fn(w, r)
-	}
-}
-
-// apiError is the legacy (pre-/v1) error shape, kept byte-identical for
-// old clients.
-type apiError struct {
-	Error string `json:"error"`
 }
 
 // Structured /v1 error codes.
@@ -245,11 +207,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError emits the legacy flat error shape.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
 // writeErrorV1 emits the structured /v1 envelope.
 func writeErrorV1(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, errorEnvelope{Error: errorBody{
@@ -258,42 +215,31 @@ func writeErrorV1(w http.ResponseWriter, status int, code, format string, args .
 	}})
 }
 
-// errWriter abstracts the two error shapes so one handler body serves both
-// API generations; the code argument is dropped by the legacy writer.
-type errWriter func(w http.ResponseWriter, status int, code, format string, args ...any)
-
-func legacyErr(w http.ResponseWriter, status int, _ string, format string, args ...any) {
-	writeError(w, status, format, args...)
-}
-
-func (a *api) postScanLegacy(w http.ResponseWriter, r *http.Request) { a.postScan(w, r, legacyErr) }
-func (a *api) postScanV1(w http.ResponseWriter, r *http.Request)     { a.postScan(w, r, writeErrorV1) }
-
-func (a *api) postScan(w http.ResponseWriter, r *http.Request, fail errWriter) {
+func (a *api) postScan(w http.ResponseWriter, r *http.Request) {
 	var req ScanRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+		writeErrorV1(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
 		return
 	}
 	job, err := a.sched.Submit(req)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrBadRequest):
-		fail(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+		writeErrorV1(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	case errors.Is(err, ErrUnknownTarget):
-		fail(w, http.StatusNotFound, codeUnknownTarget, "%v", err)
+		writeErrorV1(w, http.StatusNotFound, codeUnknownTarget, "%v", err)
 		return
 	case errors.Is(err, ErrQueueFull):
-		fail(w, http.StatusTooManyRequests, codeQueueFull, "%v", err)
+		writeErrorV1(w, http.StatusTooManyRequests, codeQueueFull, "%v", err)
 		return
 	case errors.Is(err, ErrDraining):
-		fail(w, http.StatusServiceUnavailable, codeDraining, "%v", err)
+		writeErrorV1(w, http.StatusServiceUnavailable, codeDraining, "%v", err)
 		return
 	default:
-		fail(w, http.StatusInternalServerError, codeInternal, "%v", err)
+		writeErrorV1(w, http.StatusInternalServerError, codeInternal, "%v", err)
 		return
 	}
 	code := http.StatusAccepted
@@ -301,12 +247,6 @@ func (a *api) postScan(w http.ResponseWriter, r *http.Request, fail errWriter) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, job)
-}
-
-func (a *api) listScansLegacy(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Scans []Job `json:"scans"`
-	}{Scans: a.sched.Jobs()})
 }
 
 // jobHasVerdict reports whether any verdict cell of the job's result
@@ -323,42 +263,14 @@ func jobHasVerdict(j Job, verdict string) bool {
 	return false
 }
 
-func (a *api) getScanLegacy(w http.ResponseWriter, r *http.Request) { a.getScan(w, r, legacyErr) }
-func (a *api) getScanV1(w http.ResponseWriter, r *http.Request)     { a.getScan(w, r, writeErrorV1) }
-
-func (a *api) getScan(w http.ResponseWriter, r *http.Request, fail errWriter) {
+func (a *api) getScan(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := a.sched.JobByID(id)
 	if !ok {
-		fail(w, http.StatusNotFound, codeNotFound, "no such scan %q", id)
+		writeErrorV1(w, http.StatusNotFound, codeNotFound, "no such scan %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
-}
-
-func (a *api) getResultsLegacy(w http.ResponseWriter, r *http.Request) {
-	provider := r.URL.Query().Get("provider")
-	if provider != "" {
-		if _, ok := ProviderByName(provider); !ok {
-			writeError(w, http.StatusNotFound, "unknown provider %q (one of %v)", provider, ProviderNames())
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []ProviderVerdicts `json:"results"`
-	}{Results: a.sched.Results(provider)})
-}
-
-func (a *api) getChannels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Channels []ChannelInfo `json:"channels"`
-	}{Channels: Channels()})
-}
-
-func (a *api) getProviders(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Providers []string `json:"providers"`
-	}{Providers: ProviderNames()})
 }
 
 func (a *api) metrics(w http.ResponseWriter, _ *http.Request) {
@@ -380,12 +292,6 @@ func (a *api) healthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (a *api) version(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Version string `json:"version"`
-	}{Version: a.cfg.Version})
-}
-
 // events serves the SSE stream: every hub event as an `event:`/`data:`
 // frame, with periodic comment heartbeats so idle connections stay alive
 // through proxies. The stream ends when the client disconnects or the
@@ -393,7 +299,7 @@ func (a *api) version(w http.ResponseWriter, _ *http.Request) {
 func (a *api) events(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
+		writeErrorV1(w, http.StatusInternalServerError, codeInternal, "streaming unsupported by this connection")
 		return
 	}
 	ch, cancel := a.sched.Subscribe()

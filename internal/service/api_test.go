@@ -43,9 +43,9 @@ func newTestAPI(t *testing.T, cfg Config, runner func(context.Context, ScanReque
 
 func postScanJSON(t *testing.T, srv *httptest.Server, body string) (*http.Response, Job) {
 	t.Helper()
-	resp, err := http.Post(srv.URL+"/scans", "application/json", strings.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/scans", "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /scans: %v", err)
+		t.Fatalf("POST /v1/scans: %v", err)
 	}
 	defer resp.Body.Close()
 	var job Job
@@ -62,15 +62,15 @@ func pollScanDone(t *testing.T, srv *httptest.Server, id string) Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(srv.URL + "/scans/" + id)
+		resp, err := http.Get(srv.URL + "/v1/scans/" + id)
 		if err != nil {
-			t.Fatalf("GET /scans/%s: %v", id, err)
+			t.Fatalf("GET /v1/scans/%s: %v", id, err)
 		}
 		var job Job
 		err = json.NewDecoder(resp.Body).Decode(&job)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("decode /scans/%s: %v", id, err)
+			t.Fatalf("decode /v1/scans/%s: %v", id, err)
 		}
 		if job.Terminal() {
 			return job
@@ -107,9 +107,9 @@ func metricValue(t *testing.T, scrape, sample string) float64 {
 
 func scrape(t *testing.T, srv *httptest.Server) string {
 	t.Helper()
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
@@ -119,14 +119,14 @@ func scrape(t *testing.T, srv *httptest.Server) string {
 	return string(raw)
 }
 
-// sseClient tails /events in a goroutine, decoding data frames onto a
+// sseClient tails /v1/events in a goroutine, decoding data frames onto a
 // channel until the stream ends.
 func sseClient(t *testing.T, srv *httptest.Server) (<-chan Event, func()) {
 	t.Helper()
-	req, _ := http.NewRequest("GET", srv.URL+"/events", nil)
+	req, _ := http.NewRequest("GET", srv.URL+"/v1/events", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("GET /events: %v", err)
+		t.Fatalf("GET /v1/events: %v", err)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content-type = %q", ct)
@@ -168,9 +168,9 @@ func TestAPIScanLifecycle(t *testing.T) {
 	}
 
 	// The job shows up in the list.
-	lresp, err := http.Get(srv.URL + "/scans")
+	lresp, err := http.Get(srv.URL + "/v1/scans")
 	if err != nil {
-		t.Fatalf("GET /scans: %v", err)
+		t.Fatalf("GET /v1/scans: %v", err)
 	}
 	var list struct {
 		Scans []Job `json:"scans"`
@@ -184,9 +184,9 @@ func TestAPIScanLifecycle(t *testing.T) {
 	}
 
 	// Latest verdicts are queryable, filtered by provider.
-	rresp, err := http.Get(srv.URL + "/results?provider=local")
+	rresp, err := http.Get(srv.URL + "/v1/results?provider=local")
 	if err != nil {
-		t.Fatalf("GET /results: %v", err)
+		t.Fatalf("GET /v1/results: %v", err)
 	}
 	var results struct {
 		Results []ProviderVerdicts `json:"results"`
@@ -204,18 +204,21 @@ func TestAPIErrorPaths(t *testing.T) {
 	_, srv := newTestAPI(t, Config{Workers: 1}, func(_ context.Context, req ScanRequest) (*ScanResult, error) {
 		return fakeResult(req), nil
 	})
+	// code is the /v1 envelope's error code; "" marks the mux's own
+	// plain-text 404/405 fallbacks, which carry no envelope.
 	cases := []struct {
 		method, path, body string
 		want               int
+		code               string
 	}{
-		{"POST", "/scans", `{not json`, http.StatusBadRequest},
-		{"POST", "/scans", `{"kind":"warp-drive"}`, http.StatusBadRequest},
-		{"POST", "/scans", `{"kind":"inspect"}`, http.StatusBadRequest},
-		{"POST", "/scans", `{"kind":"table1","bogus_field":1}`, http.StatusBadRequest},
-		{"GET", "/scans/scan-999999", "", http.StatusNotFound},
-		{"GET", "/results?provider=mars", "", http.StatusNotFound},
-		{"DELETE", "/scans", "", http.StatusMethodNotAllowed},
-		{"GET", "/nope", "", http.StatusNotFound},
+		{"POST", "/v1/scans", `{not json`, http.StatusBadRequest, codeBadRequest},
+		{"POST", "/v1/scans", `{"kind":"warp-drive"}`, http.StatusBadRequest, codeBadRequest},
+		{"POST", "/v1/scans", `{"kind":"inspect"}`, http.StatusBadRequest, codeBadRequest},
+		{"POST", "/v1/scans", `{"kind":"table1","bogus_field":1}`, http.StatusBadRequest, codeBadRequest},
+		{"GET", "/v1/scans/scan-999999", "", http.StatusNotFound, codeNotFound},
+		{"GET", "/v1/results?provider=mars", "", http.StatusNotFound, codeNotFound},
+		{"DELETE", "/v1/scans", "", http.StatusMethodNotAllowed, ""},
+		{"GET", "/v1/nope", "", http.StatusNotFound, ""},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
@@ -226,10 +229,13 @@ func TestAPIErrorPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s = %d; want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+		if tc.code != "" {
+			envelope(t, body, tc.code)
 		}
 	}
 }
@@ -242,9 +248,9 @@ func TestAPIIntrospectionEndpoints(t *testing.T) {
 	var channels struct {
 		Channels []ChannelInfo `json:"channels"`
 	}
-	resp, err := http.Get(srv.URL + "/channels")
+	resp, err := http.Get(srv.URL + "/v1/channels")
 	if err != nil {
-		t.Fatalf("GET /channels: %v", err)
+		t.Fatalf("GET /v1/channels: %v", err)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&channels); err != nil {
 		t.Fatalf("decode channels: %v", err)
@@ -257,9 +263,9 @@ func TestAPIIntrospectionEndpoints(t *testing.T) {
 	var providers struct {
 		Providers []string `json:"providers"`
 	}
-	resp, err = http.Get(srv.URL + "/providers")
+	resp, err = http.Get(srv.URL + "/v1/providers")
 	if err != nil {
-		t.Fatalf("GET /providers: %v", err)
+		t.Fatalf("GET /v1/providers: %v", err)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&providers); err != nil {
 		t.Fatalf("decode providers: %v", err)
@@ -274,9 +280,9 @@ func TestAPIIntrospectionEndpoints(t *testing.T) {
 		Version  string `json:"version"`
 		Draining bool   `json:"draining"`
 	}
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+		t.Fatalf("GET /v1/healthz: %v", err)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatalf("decode healthz: %v", err)
@@ -286,20 +292,20 @@ func TestAPIIntrospectionEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
-	resp, err = http.Get(srv.URL + "/version")
+	resp, err = http.Get(srv.URL + "/v1/version")
 	if err != nil {
-		t.Fatalf("GET /version: %v", err)
+		t.Fatalf("GET /v1/version: %v", err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !bytes.Contains(raw, []byte("deadbeef")) {
-		t.Fatalf("/version = %s; want the build string", raw)
+		t.Fatalf("/v1/version = %s; want the build string", raw)
 	}
 }
 
 // TestAPIAcceptance is the PR's acceptance scenario: at least eight
 // overlapping scans through the HTTP API, queue-depth and cache-hit
-// metrics observably moving on /metrics, verdicts arriving over SSE, and
+// metrics observably moving on /v1/metrics, verdicts arriving over SSE, and
 // a graceful shutdown that drains in-flight jobs without losing results.
 func TestAPIAcceptance(t *testing.T) {
 	gate := make(chan struct{}, 64) // one token per permitted scan execution
@@ -333,7 +339,7 @@ func TestAPIAcceptance(t *testing.T) {
 		ids = append(ids, job.ID)
 	}
 
-	// Queue depth is visible on /metrics while the backlog exists.
+	// Queue depth is visible on /v1/metrics while the backlog exists.
 	if depth := metricValue(t, scrape(t, srv), "leaksd_queue_depth"); depth < 1 {
 		t.Fatalf("queue depth = %g with 8 submitted and 1 worker; want >= 1", depth)
 	}

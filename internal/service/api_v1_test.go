@@ -93,54 +93,25 @@ func submitAndWait(t *testing.T, s *Scheduler, srv *httptest.Server, route, body
 	}
 }
 
-// TestV1LegacyCompat: the /v1 read endpoints serve byte-identical bodies
-// to their legacy aliases when no /v1-only parameter is used, and the
-// legacy routes carry Deprecation + successor-version headers while /v1
-// routes do not.
-func TestV1LegacyCompat(t *testing.T) {
-	s, srv := newTestAPI(t, Config{Workers: 1}, fakeInspectRunner)
-	submitAndWait(t, s, srv, "/v1/scans", `{"kind":"inspect","provider":"cc1"}`)
+// nonFlusher hides the recorder's Flush method: an http.ResponseWriter
+// that cannot stream.
+type nonFlusher struct{ http.ResponseWriter }
 
-	routes := []struct{ legacy, v1 string }{
-		{"/scans", "/v1/scans"},
-		{"/results", "/v1/results"},
-		{"/channels", "/v1/channels"},
-		{"/providers", "/v1/providers"},
-		{"/version", "/v1/version"},
+// TestV1EventsNonFlusherEnvelope: a connection that cannot stream gets a
+// 500 carrying the /v1 envelope with the internal code, like every other
+// /v1 failure.
+func TestV1EventsNonFlusherEnvelope(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1}, fakeInspectRunner)
+	h := NewHandler(APIConfig{Scheduler: s, Version: "v"})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(nonFlusher{rec}, httptest.NewRequest("GET", "/v1/events", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
 	}
-	for _, r := range routes {
-		respL, bodyL := get(t, srv, r.legacy)
-		respV, bodyV := get(t, srv, r.v1)
-		if respL.StatusCode != http.StatusOK || respV.StatusCode != http.StatusOK {
-			t.Fatalf("%s/%s: status %d/%d", r.legacy, r.v1, respL.StatusCode, respV.StatusCode)
-		}
-		if string(bodyL) != string(bodyV) {
-			t.Errorf("%s body differs from %s:\nlegacy: %s\nv1:     %s", r.legacy, r.v1, bodyL, bodyV)
-		}
-		if respL.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", r.legacy)
-		}
-		if link := respL.Header.Get("Link"); !strings.Contains(link, r.v1) || !strings.Contains(link, "successor-version") {
-			t.Errorf("%s: Link header %q does not point at %s", r.legacy, link, r.v1)
-		}
-		if respV.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: /v1 route unexpectedly marked deprecated", r.v1)
-		}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
 	}
-
-	// Legacy error shape stays flat; /v1 carries the envelope.
-	respL, bodyL := get(t, srv, "/scans/nope")
-	respV, bodyV := get(t, srv, "/v1/scans/nope")
-	if respL.StatusCode != http.StatusNotFound || respV.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing-scan status %d/%d, want 404/404", respL.StatusCode, respV.StatusCode)
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(bodyL, &flat); err != nil || flat.Error == "" {
-		t.Errorf("legacy error shape changed: %s", bodyL)
-	}
-	envelope(t, bodyV, codeNotFound)
+	envelope(t, rec.Body.Bytes(), codeInternal)
 }
 
 // TestV1ErrorEnvelopes drives every /v1 failure path and asserts the

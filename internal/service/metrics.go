@@ -3,7 +3,7 @@ package service
 import "repro/internal/telemetry"
 
 // Metrics bundles the scheduler's instrumentation. All families live in
-// one telemetry.Registry that cmd/leaksd also exposes at /metrics; tests
+// one telemetry.Registry that cmd/leaksd also exposes at /v1/metrics; tests
 // read the same registry through the typed handles.
 type Metrics struct {
 	Registry *telemetry.Registry

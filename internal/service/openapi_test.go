@@ -56,7 +56,8 @@ func readSpecRoutes(t *testing.T) map[string]bool {
 // handler: the spec's (method, path) set must equal v1Routes — the slice
 // the mux registrations are built from — in both directions, and every
 // spec route must be answered by leaksd's own handlers, never the mux's
-// plain-text 404/405 fallbacks.
+// plain-text 404/405 fallbacks. The retired unversioned aliases are not
+// served at all: each gets the mux's 404.
 func TestOpenAPISpecMatchesMux(t *testing.T) {
 	spec := readSpecRoutes(t)
 	served := make(map[string]bool, len(v1Routes))
@@ -104,6 +105,19 @@ func TestOpenAPISpecMatchesMux(t *testing.T) {
 		}
 		if rec.Code >= 400 && !strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
 			t.Errorf("%s: %d with Content-Type %q — mux fallback, not a leaksd handler",
+				r, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
+	for _, r := range []string{
+		"POST /scans", "GET /scans", "GET /scans/no-such-id", "GET /results",
+		"GET /channels", "GET /providers", "GET /events", "GET /metrics",
+		"GET /healthz", "GET /version",
+	} {
+		method, path, _ := strings.Cut(r, " ")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("{}")))
+		if rec.Code != http.StatusNotFound || !strings.HasPrefix(rec.Header().Get("Content-Type"), "text/plain") {
+			t.Errorf("%s: %d with Content-Type %q — want the mux's plain-text 404",
 				r, rec.Code, rec.Header().Get("Content-Type"))
 		}
 	}

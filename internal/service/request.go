@@ -36,7 +36,7 @@ const (
 	KindChaosSweep Kind = "chaossweep"
 )
 
-// Kinds lists every supported kind (for validation errors and /channels
+// Kinds lists every supported kind (for validation errors and /v1/channels
 // style introspection).
 func Kinds() []Kind {
 	return []Kind{KindTable1, KindInspect, KindDiscovery, KindMatrix, KindFig3, KindFig8, KindChaosSweep}
@@ -70,8 +70,8 @@ type ScanRequest struct {
 	// Limit / Offset are the /v1 pagination parameters. Clients that reuse
 	// their list-query builders when submitting scans may send them; they
 	// never affect what a scan computes, so Normalize clears them and Key
-	// excludes them — a paginated /v1 submission and a legacy submission of
-	// the same scan share one store entry.
+	// excludes them — a paginated submission and a bare submission of the
+	// same scan share one store entry.
 	Limit  int `json:"limit,omitempty"`
 	Offset int `json:"offset,omitempty"`
 }

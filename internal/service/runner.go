@@ -198,7 +198,7 @@ func renderInspection(ins experiments.CloudInspection, req ScanRequest) string {
 	return fmt.Sprintf("INSPECTION: %s (%s)\n%s", ins.Provider, req.Chaos(), tb.String())
 }
 
-// ChannelInfo is the JSON shape of one registry channel for GET /channels.
+// ChannelInfo is the JSON shape of one registry channel for GET /v1/channels.
 type ChannelInfo struct {
 	Name       string   `json:"name"`
 	Paths      []string `json:"paths"`

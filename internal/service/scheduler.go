@@ -48,7 +48,7 @@ func (j *Job) Terminal() bool {
 }
 
 // ProviderVerdicts is the latest verdict set for one provider — what
-// GET /results serves.
+// GET /v1/results serves.
 type ProviderVerdicts struct {
 	Provider  string    `json:"provider"`
 	JobID     string    `json:"job_id"`
@@ -223,7 +223,7 @@ func New(cfg Config, met *Metrics) *Scheduler {
 	}
 }
 
-// Metrics exposes the scheduler's registry (for the /metrics handler).
+// Metrics exposes the scheduler's registry (for the /v1/metrics handler).
 func (s *Scheduler) Metrics() *Metrics { return s.met }
 
 // Start launches the worker pool. Idempotent.

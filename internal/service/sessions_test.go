@@ -111,7 +111,7 @@ func TestScanRequestKeyCanonicalizesPagination(t *testing.T) {
 	}
 
 	// End to end: a /v1 submission carrying pagination junk shares the
-	// store entry of a clean legacy submission.
+	// store entry of a clean submission.
 	s := New(Config{Workers: 1, Sleep: instantSleep}, nil)
 	s.SetRunner(fakeInspectRunner)
 	s.Start()

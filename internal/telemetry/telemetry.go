@@ -15,7 +15,7 @@
 //   - Labeled children are created lazily on first With(...) and cached;
 //     With on a hot path is a map lookup under RLock.
 //   - Rendering sorts families by name and children by label value, so
-//     /metrics output is deterministic — scrape diffs in tests compare
+//     /v1/metrics output is deterministic — scrape diffs in tests compare
 //     bytes, same as every other artifact in this repository.
 //   - Values are float64 behind a mutex rather than atomics: every
 //     metric here is touched at scan granularity (milliseconds to

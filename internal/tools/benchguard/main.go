@@ -1,21 +1,20 @@
 // Command benchguard is the CI benchmark-regression gate: it reads fresh
 // `go test -bench -benchmem` text from stdin, extracts each gated
 // benchmark's metric, and compares it against the committed JSON baseline
-// (the BENCH_PR8.json archived by `make bench-json`). A gate fails when
+// (the BENCH_PR10.json archived by `make bench-json`). A gate fails when
 // the fresh value exceeds baseline × (1 + max-regress).
 //
 // Gates are declared with the repeatable -gate flag, "bench:metric:frac":
 //
 //	{ go test -run '^$' -bench '^BenchmarkFig3Sweep$' -benchtime=1x -benchmem . &&
 //	  go test -run '^$' -bench '^BenchmarkV1ResultsHit$' -benchtime=200000x -benchmem . ; } |
-//	  go run ./internal/tools/benchguard -baseline BENCH_PR8.json \
+//	  go run ./internal/tools/benchguard -baseline BENCH_PR10.json \
 //	    -gate 'BenchmarkFig3Sweep:allocs/op:0.10' \
 //	    -gate 'BenchmarkV1ResultsHit:allocs/op:0' \
 //	    -gate 'BenchmarkServingLoad:p99-ns:0.50'
 //
 // A frac of 0 is the strictest gate: any increase over baseline fails —
-// the shape of a zero-allocation contract. The legacy single-gate flags
-// (-bench/-metric/-max-regress) remain as shorthand for one -gate.
+// the shape of a zero-allocation contract.
 //
 // Improvements (fresh < baseline) always pass — the gate is one-sided, so
 // it never blocks a PR for being faster; refresh the baseline with
@@ -87,9 +86,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	baselinePath := fs.String("baseline", "", "committed benchjson report to guard against")
 	var gates gateFlags
 	fs.Var(&gates, "gate", `repeatable gate "bench:metric:max-regress" (e.g. "BenchmarkV1ResultsHit:allocs/op:0")`)
-	bench := fs.String("bench", "", "legacy single-gate benchmark name (without the -P procs suffix)")
-	metric := fs.String("metric", "allocs/op", `legacy single-gate metric ("ns/op" or an extra unit like "allocs/op")`)
-	maxRegress := fs.Float64("max-regress", 0.10, "legacy single-gate allowed fractional regression")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -97,11 +93,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchguard: %v\n", err)
 		return 1
 	}
-	if *bench != "" {
-		gates = append(gates, gate{bench: *bench, metric: *metric, maxRegress: *maxRegress})
-	}
 	if *baselinePath == "" || len(gates) == 0 {
-		return fail(fmt.Errorf("-baseline and at least one -gate (or -bench) are required"))
+		return fail(fmt.Errorf("-baseline and at least one -gate are required"))
 	}
 
 	baseline, err := loadBaseline(*baselinePath)

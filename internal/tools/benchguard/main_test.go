@@ -27,8 +27,7 @@ func runGuard(t *testing.T, path, benchLine string) (int, string, string) {
 	t.Helper()
 	var out, errb strings.Builder
 	code := run([]string{
-		"-baseline", path, "-bench", "BenchmarkFig3Sweep",
-		"-metric", "allocs/op", "-max-regress", "0.10",
+		"-baseline", path, "-gate", "BenchmarkFig3Sweep:allocs/op:0.10",
 	}, strings.NewReader(benchLine), &out, &errb)
 	return code, out.String(), errb.String()
 }
@@ -78,7 +77,7 @@ func TestGuardRejectsMissingMetricColumn(t *testing.T) {
 func TestGuardRejectsUnknownBenchmark(t *testing.T) {
 	path := writeBaseline(t)
 	var out, errb strings.Builder
-	code := run([]string{"-baseline", path, "-bench", "BenchmarkNope"},
+	code := run([]string{"-baseline", path, "-gate", "BenchmarkNope:allocs/op:0.10"},
 		strings.NewReader("BenchmarkFig3Sweep-8 1 1 ns/op 1 B/op 1 allocs/op\n"), &out, &errb)
 	if code != 1 || !strings.Contains(errb.String(), "no result named") {
 		t.Fatalf("code=%d err=%q", code, errb.String())

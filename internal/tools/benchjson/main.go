@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime=1x . | go run ./internal/tools/benchjson -o BENCH_PR3.json
+//	go test -run '^$' -bench . -benchtime=1x . | go run ./internal/tools/benchjson -o BENCH_PR10.json
 //
 // Lines that are not benchmark results (the goos/goarch/pkg preamble,
 // PASS/ok trailers) are captured as metadata or skipped; a run with zero
