@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
+.PHONY: check lint fmt vet build test race fuzz-smoke bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
 
 check: fmt vet build race
 
@@ -31,6 +31,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Fuzz smoke: every Fuzz* target in the repository, found by name, fuzzed
+# for a fixed 10s each (go test -fuzz takes one target per run). A failing
+# input is written under the package's testdata/fuzz and fails the step.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | sort); do \
+		pkg=$$(dirname $$f); \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$pkg $$fn"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime 10s $$pkg; \
+		done; \
+	done
 
 # Chaos smoke: the three pipelines under deterministic fault injection at
 # the paper-scale 2% rate with a fixed seed. Must complete and keep shape

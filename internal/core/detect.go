@@ -308,22 +308,17 @@ type ChannelReport struct {
 // systematic sweep, which is what distinguishes the paper's cross-
 // validation approach from auditing a fixed checklist.
 func Discover(channels []Channel, findings []Finding) []Finding {
-	known := func(path string) bool {
-		for _, ch := range channels {
-			for _, pat := range ch.Paths {
-				if pseudofs.Match(pat, path) {
-					return true
-				}
-			}
-		}
-		return false
+	var pats []string
+	for _, ch := range channels {
+		pats = append(pats, ch.Paths...)
 	}
+	known := pseudofs.Compile(pats...)
 	var out []Finding
 	for _, f := range findings {
 		if f.Status != Identical && f.Status != Partial {
 			continue
 		}
-		if !known(f.Path) {
+		if !known.Match(f.Path) {
 			out = append(out, f)
 		}
 	}
@@ -338,12 +333,10 @@ func RollUp(channels []Channel, findings []Finding) []ChannelReport {
 	reports := make([]ChannelReport, 0, len(channels))
 	for _, ch := range channels {
 		rep := ChannelReport{Channel: ch}
+		pats := pseudofs.Compile(ch.Paths...)
 		for _, f := range findings {
-			for _, pat := range ch.Paths {
-				if pseudofs.Match(pat, f.Path) {
-					rep.Files = append(rep.Files, f)
-					break
-				}
+			if pats.Match(f.Path) {
+				rep.Files = append(rep.Files, f)
 			}
 		}
 		best := Unavailable

@@ -44,23 +44,31 @@ func Assess(channels []Channel, m *pseudofs.Mount, advance Sampler, nSamples int
 		nSamples = 2
 	}
 	paths := m.Paths()
+	// Each channel's files in read order: pattern by pattern, then path
+	// order; a path two patterns match is read once per pattern.
+	files := make([][]string, len(channels))
+	for ci, ch := range channels {
+		for _, pat := range ch.Paths {
+			c := pseudofs.Compile(pat)
+			for _, p := range paths {
+				if c.Match(p) {
+					files[ci] = append(files[ci], p)
+				}
+			}
+		}
+	}
 
 	// Collect per-channel content samples over time.
 	samples := make([][]string, len(channels)) // [channel][sample]
 	for s := 0; s < nSamples; s++ {
-		for ci, ch := range channels {
+		for ci := range channels {
 			var b strings.Builder
-			for _, pat := range ch.Paths {
-				for _, p := range paths {
-					if !pseudofs.Match(pat, p) {
-						continue
-					}
-					content, err := m.Read(p)
-					if err != nil {
-						continue
-					}
-					b.WriteString(content)
+			for _, p := range files[ci] {
+				content, err := m.Read(p)
+				if err != nil {
+					continue
 				}
+				b.WriteString(content)
 			}
 			samples[ci] = append(samples[ci], b.String())
 		}

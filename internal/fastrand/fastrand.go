@@ -18,18 +18,26 @@
 //
 // # Seeding without the cooked table
 //
-// math/rand seeds its 607-word state vector from an internal precomputed
-// table (rngCooked) that is produced by ~7.8e12 warm-up iterations at
-// package generation time; it is not practical to recompute and not
-// exported. Instead of vendoring that table, New reconstructs the state
-// through the public API: it creates rand.NewSource(seed) and draws 607
-// Uint64 values. Because the generator's state is a sliding window over
-// its own output, those 607 outputs ARE the full post-draw state: output
-// i (0-based) lands at vec[(333-i) mod 607], and after exactly 607 draws
-// the tap/feed indices return to their initial positions. New then runs
-// the recurrence BACKWARD 607 steps (vec[feed] -= vec[tap]; advance
-// indices) to recover the pre-draw state, so the replica's very first
-// native draw is stdlib draw 0 and Uint64 needs no replay branch.
+// math/rand seeds its 607-word state vector as vec[i] = u_i ^ rngCooked[i]
+// with tap = 0 and feed = 607-273. u_i packs three consecutive values of
+// the Park–Miller chain x ← 48271·x mod (2^31−1), started from the
+// reduced seed after 20 discarded steps; rngCooked is an internal
+// precomputed table produced by ~7.8e12 warm-up iterations at package
+// generation time, not practical to recompute and not exported. Instead of
+// vendoring it, the package recovers it once, at init, through the public
+// API: it draws 607 Uint64 values from rand.NewSource(1). Because the
+// generator's state is a sliding window over its own output, those 607
+// outputs ARE the full post-draw state (output i lands at
+// vec[(333-i) mod 607], and after exactly 607 draws the tap/feed indices
+// return to their initial positions). Running the recurrence BACKWARD 607
+// steps (vec[feed] -= vec[tap]; advance indices) recovers seed 1's
+// pre-draw state, and XORing out seed 1's chain leaves the cooked table.
+//
+// New then builds the state directly: the chain for its own seed, XORed
+// with the recovered table. It costs 1,841 multiply-reduce steps and no
+// math/rand call, so the replica's very first native draw is stdlib
+// draw 0 and Uint64 needs no replay branch. The table is immutable once
+// init returns.
 //
 // Equivalence for every exported method is enforced by property tests in
 // fastrand_test.go across seeds and interleaved method sequences.
@@ -64,8 +72,61 @@ type Rand struct {
 // New returns a generator whose stream is bit-identical to
 // rand.New(rand.NewSource(seed)).
 func New(seed int64) *Rand {
+	r := &Rand{tap: 0, feed: rngLen - rngTap}
+	seedVec(&r.vec, seed)
+	for i := range r.vec {
+		r.vec[i] ^= cooked[i]
+	}
+	return r
+}
+
+// int32max is the Park–Miller modulus 2^31−1, a Mersenne prime.
+const int32max = 1<<31 - 1
+
+// seedrand advances math/rand's seeding chain: x·48271 mod 2^31−1. The
+// product stays below 2^47, and one fold of the high bits onto the low
+// ones (2^31 ≡ 1) plus one conditional subtraction reduces it exactly.
+func seedrand(x uint64) uint64 {
+	x *= 48271
+	x = x&int32max + x>>31
+	if x >= int32max {
+		x -= int32max
+	}
+	return x
+}
+
+// seedVec writes math/rand's seed chain for seed into vec: the state
+// rngSource.Seed builds before XORing in rngCooked.
+func seedVec(vec *[rngLen]uint64, seed int64) {
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint64(seed)
+	for i := 0; i < 20; i++ {
+		x = seedrand(x)
+	}
+	for i := range vec {
+		x = seedrand(x)
+		u := x << 40
+		x = seedrand(x)
+		u ^= x << 20
+		x = seedrand(x)
+		vec[i] = u ^ x
+	}
+}
+
+// cooked is math/rand's rngCooked table, recovered at init (see the
+// package doc, "Seeding without the cooked table").
+var cooked = recoverCooked()
+
+func recoverCooked() *[rngLen]uint64 {
+	const seed = 1
 	src := rand.NewSource(seed).(rand.Source64)
-	r := &Rand{}
+	var vec [rngLen]uint64
 	// Initial positions inside math/rand's rngSource after Seed():
 	// tap = 0, feed = rngLen - rngTap = 334. Each Uint64() first
 	// decrements both (wrapping), computes x = vec[feed] + vec[tap],
@@ -77,14 +138,14 @@ func New(seed int64) *Rand {
 		if j < 0 {
 			j += rngLen
 		}
-		r.vec[j] = src.Uint64()
+		vec[j] = src.Uint64()
 	}
 	// Undo the 607 draws to recover the pre-draw state. Reverse of a
 	// forward step (with indices currently at post-step positions):
 	// vec[feed] -= vec[tap], then advance tap and feed by one.
 	tap, feed := 0, rngLen-rngTap
 	for i := 0; i < rngLen; i++ {
-		r.vec[feed] -= r.vec[tap]
+		vec[feed] -= vec[tap]
 		tap++
 		if tap >= rngLen {
 			tap -= rngLen
@@ -94,9 +155,13 @@ func New(seed int64) *Rand {
 			feed -= rngLen
 		}
 	}
-	r.tap = int32(tap)
-	r.feed = int32(feed)
-	return r
+	// The pre-draw state is chain ^ cooked; XOR the chain back out.
+	var chain [rngLen]uint64
+	seedVec(&chain, seed)
+	for i := range vec {
+		vec[i] ^= chain[i]
+	}
+	return &vec
 }
 
 // Uint64 returns a pseudo-random 64-bit value.

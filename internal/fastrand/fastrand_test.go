@@ -2,15 +2,48 @@ package fastrand
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // The whole point of this package is bit-exact equivalence with
 // math/rand.New(rand.NewSource(seed)). Every test here compares the
 // replica against the stdlib generator method-for-method.
 
-var seeds = []int64{0, 1, 2, 42, -1, 1362, 2026, 0x1ea4, 1 << 40, -987654321}
+var seeds = []int64{0, 1, 2, 42, -1, 1362, 2026, 0x1ea4, 1 << 40, -987654321,
+	1<<31 - 1, -(1<<31 - 1), 3 * (1<<31 - 1), math.MinInt64, math.MaxInt64}
+
+// TestSeedingEquivalence checks New's direct seeding against
+// rand.NewSource over the seeds math/rand reduces specially (0 maps to a
+// fixed seed, negatives wrap, multiples of 2^31−1 reduce to 0, and
+// math.MinInt64 has no positive counterpart) and over random seeds. The
+// first 607 draws cover the whole initial state vector.
+func TestSeedingEquivalence(t *testing.T) {
+	const m = 1<<31 - 1
+	edge := []int64{0, -1, -2, 1, m, -m, 2 * m, -2 * m, m - 1, m + 1, -(m - 1), -(m + 1),
+		math.MaxInt64 / m * m, math.MinInt64 / m * m, math.MinInt64, math.MinInt64 + 1,
+		math.MaxInt64, 89482311}
+	same := func(seed int64) bool {
+		std := rand.NewSource(seed).(rand.Source64)
+		fr := New(seed)
+		for i := 0; i < rngLen+1; i++ {
+			if fr.Uint64() != std.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, seed := range edge {
+		if !same(seed) {
+			t.Errorf("seed %d: stream differs from rand.NewSource", seed)
+		}
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
 
 func TestUint64Equivalence(t *testing.T) {
 	for _, seed := range seeds {

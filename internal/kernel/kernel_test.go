@@ -373,6 +373,20 @@ func TestIdleStatesAccumulateOnlyWhenIdle(t *testing.T) {
 	}
 }
 
+func TestIdleCountersMatchSnapshot(t *testing.T) {
+	k := newTestKernel(19)
+	tick(k, 30)
+	for si, st := range k.IdleStateSnapshot() {
+		for cpu := range st.UsagePerCPU {
+			usage, timeUS := k.IdleCounters(si, cpu)
+			if usage != st.UsagePerCPU[cpu] || timeUS != st.TimeUSPerCPU[cpu] {
+				t.Fatalf("state %d cpu %d: IdleCounters = (%g, %g), snapshot (%g, %g)",
+					si, cpu, usage, timeUS, st.UsagePerCPU[cpu], st.TimeUSPerCPU[cpu])
+			}
+		}
+	}
+}
+
 func TestEntropyPoolBounded(t *testing.T) {
 	k := newTestKernel(17)
 	for i := 0; i < 2000; i++ {

@@ -218,6 +218,14 @@ func (k *Kernel) Ext4GroupSnapshot() []Ext4Group {
 // NUMASnapshot returns node 0's allocation counters.
 func (k *Kernel) NUMASnapshot() NUMAStats { return k.numa }
 
+// IdleCounters returns one cpuidle state's counters on one CPU: its entry
+// count and its cumulative residency in microseconds. The cpuidle usage
+// and time files read it instead of copying the whole table.
+func (k *Kernel) IdleCounters(state, cpu int) (usage, timeUS float64) {
+	st := &k.idleStates[state]
+	return st.UsagePerCPU[cpu], st.TimeUSPerCPU[cpu]
+}
+
 // IdleStateSnapshot returns the cpuidle state table.
 func (k *Kernel) IdleStateSnapshot() []IdleState {
 	out := make([]IdleState, len(k.idleStates))

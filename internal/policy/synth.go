@@ -72,10 +72,11 @@ func synthesize(fs *pseudofs.FS, channels []core.Channel, findings []core.Findin
 
 	for _, ch := range channels {
 		for _, pat := range ch.Paths {
+			c := pseudofs.Compile(pat)
 			var leaks []core.Finding
 			benignUnder := false
 			for _, f := range findings {
-				if !pseudofs.Match(pat, f.Path) {
+				if !c.Match(f.Path) {
 					continue
 				}
 				if leaking(f.Status) {
@@ -83,7 +84,7 @@ func synthesize(fs *pseudofs.FS, channels []core.Channel, findings []core.Findin
 				}
 			}
 			for path := range mined.Benign {
-				if pseudofs.Match(pat, path) {
+				if c.Match(path) {
 					benignUnder = true
 					break
 				}

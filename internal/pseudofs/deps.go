@@ -35,13 +35,12 @@ type depRule struct {
 	Dep     Dep
 }
 
-// depTable maps the built tree to dependency tags. Exact paths are listed
-// before patterns only for readability — lookup tries exact match first,
-// then first matching pattern. The grouping mirrors the kernel's Tick
-// commentary: anything mutated during a tick is covered by the tick's
-// sched|mem|net|power bump, so the tags here only need to be exact about
-// the out-of-tick mutation paths (Spawn/Exit, cgroup churn, namespace and
-// device churn).
+// depTable maps the built tree to dependency tags. The first matching row
+// wins, so specific rows precede the catch-alls they refine. The grouping
+// mirrors the kernel's Tick commentary: anything mutated during a tick is
+// covered by the tick's sched|mem|net|power bump, so the tags here only
+// need to be exact about the out-of-tick mutation paths (Spawn/Exit,
+// cgroup churn, namespace and device churn).
 var depTable = []depRule{
 	// Immutable host facts.
 	{"/proc/version", Dep{}},
@@ -121,6 +120,16 @@ var depTable = []depRule{
 	{"/sys/devices/system/cpu/cpu*/cpufreq/*", Dep{}},
 }
 
+// depPatterns is depTable's patterns, compiled once: every Build tags each
+// of its files against the whole table.
+var depPatterns = func() Patterns {
+	pats := make([]string, len(depTable))
+	for i, r := range depTable {
+		pats[i] = r.Pattern
+	}
+	return Compile(pats...)
+}()
+
 // depAll is the conservative default for paths the table does not know:
 // depend on everything, never volatile.
 var depAll = Dep{Mask: kernel.MaskAll}
@@ -136,12 +145,11 @@ func (fs *FS) Dep(path string) Dep {
 	return fs.lookupDep(path)
 }
 
-// lookupDep scans the dependency table; seal caches its results per path.
+// lookupDep returns the tag of the first dependency-table row matching
+// path; seal caches its results per path.
 func (fs *FS) lookupDep(path string) Dep {
-	for _, r := range depTable {
-		if r.Pattern == path || matchPattern(r.Pattern, path) {
-			return r.Dep
-		}
+	if i := depPatterns.Index(path); i >= 0 {
+		return depTable[i].Dep
 	}
 	return depAll
 }

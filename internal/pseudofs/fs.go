@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/kernel"
@@ -331,71 +330,24 @@ type Policy struct {
 }
 
 // Lookup returns the first matching rule for a path; ok is false when no
-// rule matches (default Allow).
+// rule matches (default Allow). It compiles each pattern it tries; a Mount
+// compiles its policy once.
 func (p Policy) Lookup(path string) (Rule, bool) {
 	for _, r := range p.Rules {
-		if matchPattern(r.Pattern, path) {
+		if Match(r.Pattern, path) {
 			return r, true
 		}
 	}
 	return Rule{}, false
 }
 
-// Match reports whether path matches the rule pattern language ('*' within
-// a segment, trailing "/**" for subtrees). The leakage detector uses it to
-// map concrete file paths onto registry channels.
-func Match(pattern, path string) bool { return matchPattern(pattern, path) }
-
-// matchPattern implements the limited glob language of Rule. It walks both
-// strings segment by segment without allocating: pattern matching sits on
-// the hot path of every policy check, dependency lookup, and channel
-// roll-up, so the naive strings.Split formulation dominated recurring-scan
-// profiles.
-func matchPattern(pattern, path string) bool {
-	if sub, ok := strings.CutSuffix(pattern, "/**"); ok {
-		return path == sub ||
-			(len(path) > len(sub) && path[len(sub)] == '/' && strings.HasPrefix(path, sub))
+// patterns compiles the rule patterns in rule order.
+func (p Policy) patterns() Patterns {
+	pats := make([]string, len(p.Rules))
+	for i, r := range p.Rules {
+		pats[i] = r.Pattern
 	}
-	for {
-		pi := strings.IndexByte(pattern, '/')
-		xi := strings.IndexByte(path, '/')
-		if (pi < 0) != (xi < 0) {
-			return false // different segment counts
-		}
-		if pi < 0 {
-			return matchSegment(pattern, path)
-		}
-		if !matchSegment(pattern[:pi], path[:xi]) {
-			return false
-		}
-		pattern, path = pattern[pi+1:], path[xi+1:]
-	}
-}
-
-// matchSegment matches one path segment against one pattern segment. Only
-// '*' wildcards, possibly several per segment: the literal before the first
-// star anchors as a prefix, the literal after the last star as a suffix,
-// and literals between stars match greedily left to right.
-func matchSegment(pat, seg string) bool {
-	star := strings.IndexByte(pat, '*')
-	if star < 0 {
-		return pat == seg
-	}
-	if !strings.HasPrefix(seg, pat[:star]) {
-		return false
-	}
-	seg, pat = seg[star:], pat[star+1:]
-	for {
-		next := strings.IndexByte(pat, '*')
-		if next < 0 {
-			return strings.HasSuffix(seg, pat)
-		}
-		idx := strings.Index(seg, pat[:next])
-		if idx < 0 {
-			return false
-		}
-		seg, pat = seg[idx+next:], pat[next+1:]
-	}
+	return Compile(pats...)
 }
 
 // Mount is a read-only pseudo-filesystem mount inside one execution
@@ -404,30 +356,24 @@ type Mount struct {
 	fs     *FS
 	view   View
 	policy Policy
+	// rules is the policy's patterns, compiled once per mount.
+	rules Patterns
 	// ruleIdx caches the policy decision per registered path: the index of
 	// the first matching rule, or -1 for "no rule matches" (default Allow).
 	// A Mount's policy is immutable after construction (ApplyPolicy builds a
 	// new Mount) and the FS path set is sealed at Build time, so the cache
 	// is precomputed once here and read concurrently without locks. Paths
-	// outside the sealed set fall back to the linear Lookup, preserving the
-	// exact first-match semantics.
+	// outside the sealed set fall back to a first-match scan of rules.
 	ruleIdx map[string]int16
 }
 
 // NewMount mounts fs for the given view under the given policy.
 func NewMount(fs *FS, v View, p Policy) *Mount {
-	m := &Mount{fs: fs, view: v, policy: p}
+	m := &Mount{fs: fs, view: v, policy: p, rules: p.patterns()}
 	if len(p.Rules) > 0 && fs.sortedPaths != nil {
 		m.ruleIdx = make(map[string]int16, len(fs.sortedPaths))
 		for _, path := range fs.sortedPaths {
-			idx := int16(-1)
-			for i, r := range p.Rules {
-				if matchPattern(r.Pattern, path) {
-					idx = int16(i)
-					break
-				}
-			}
-			m.ruleIdx[path] = idx
+			m.ruleIdx[path] = int16(m.rules.Index(path))
 		}
 	}
 	return m
@@ -443,7 +389,10 @@ func (m *Mount) lookupRule(path string) (Rule, bool) {
 		}
 		return m.policy.Rules[idx], true
 	}
-	return m.policy.Lookup(path)
+	if i := m.rules.Index(path); i >= 0 {
+		return m.policy.Rules[i], true
+	}
+	return Rule{}, false
 }
 
 // View returns the mount's reader context.

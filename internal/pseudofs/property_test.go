@@ -24,7 +24,7 @@ func sanitizeSegment(s string) string {
 func TestPropertyExactPatternMatchesItself(t *testing.T) {
 	f := func(a, b, c string) bool {
 		path := "/" + sanitizeSegment(a) + "/" + sanitizeSegment(b) + "/" + sanitizeSegment(c)
-		return matchPattern(path, path)
+		return Match(path, path)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -35,10 +35,10 @@ func TestPropertySubtreePatternMatchesDescendants(t *testing.T) {
 	f := func(root, child, grandchild string) bool {
 		base := "/" + sanitizeSegment(root)
 		pat := base + "/**"
-		return matchPattern(pat, base) &&
-			matchPattern(pat, base+"/"+sanitizeSegment(child)) &&
-			matchPattern(pat, base+"/"+sanitizeSegment(child)+"/"+sanitizeSegment(grandchild)) &&
-			!matchPattern(pat, base+"sibling")
+		return Match(pat, base) &&
+			Match(pat, base+"/"+sanitizeSegment(child)) &&
+			Match(pat, base+"/"+sanitizeSegment(child)+"/"+sanitizeSegment(grandchild)) &&
+			!Match(pat, base+"sibling")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestPropertyStarMatchesAnySegment(t *testing.T) {
 	f := func(a, b string) bool {
 		pat := "/proc/" + sanitizeSegment(a) + "/*"
 		path := "/proc/" + sanitizeSegment(a) + "/" + sanitizeSegment(b)
-		return matchPattern(pat, path) && !matchPattern(pat, path+"/deeper")
+		return Match(pat, path) && !Match(pat, path+"/deeper")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

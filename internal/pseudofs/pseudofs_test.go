@@ -241,8 +241,8 @@ func TestMatchPattern(t *testing.T) {
 		{"/a/*b*/c", "/a/xyz/c", false},
 	}
 	for _, c := range cases {
-		if got := matchPattern(c.pat, c.path); got != c.want {
-			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.pat, c.path, got, c.want)
+		if got := Match(c.pat, c.path); got != c.want {
+			t.Errorf("Match(%q, %q) = %v, want %v", c.pat, c.path, got, c.want)
 		}
 	}
 }

@@ -103,13 +103,13 @@ func (fs *FS) buildSys(hw Hardware) {
 			base := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpuidle/state%d", cpu, si)
 			fs.static(base+"/name", states[si].Name+"\n")
 			fs.add(base+"/usage", func(b []byte, _ View) ([]byte, error) {
-				st := k.IdleStateSnapshot()
-				b = apInt(b, int64(st[si].UsagePerCPU[cpu]))
+				usage, _ := k.IdleCounters(si, cpu)
+				b = apInt(b, int64(usage))
 				return append(b, '\n'), nil
 			})
 			fs.add(base+"/time", func(b []byte, _ View) ([]byte, error) {
-				st := k.IdleStateSnapshot()
-				b = apInt(b, int64(st[si].TimeUSPerCPU[cpu]))
+				_, timeUS := k.IdleCounters(si, cpu)
+				b = apInt(b, int64(timeUS))
 				return append(b, '\n'), nil
 			})
 		}

@@ -26,28 +26,45 @@ import (
 //     engine's invariant), and repeated passes are pure cache hits.
 //
 // The pool is bounded: beyond cap, the least-recently-used session is
-// evicted (seed-varied campaigns stream through without hoarding worlds).
+// evicted (seed-varied campaigns stream through without hoarding worlds),
+// and its world goes back to the experiments world pool once any pass on
+// it has ended, so the next session for that key restores the world
+// instead of rebuilding it.
 type sessionPool struct {
-	mu     sync.Mutex
-	cap    int
-	tick   uint64 // LRU clock
-	insp   map[string]*inspectEntry
-	disc   map[int64]*discoveryEntry
-	hits   uint64 // session reuses
-	misses uint64 // session builds
+	mu      sync.Mutex
+	cap     int
+	tick    uint64 // LRU clock
+	entries map[string]*sessionEntry
+	hits    uint64 // session reuses
+	misses  uint64 // session builds
 }
 
-type inspectEntry struct {
+// sessionEntry holds one pooled session: an inspection (insp, or err when
+// its world failed to build) or a discovery sweep (disc).
+type sessionEntry struct {
 	mu   sync.Mutex // serializes passes over one session's world
-	s    *experiments.InspectSession
+	insp *experiments.InspectSession
+	disc *experiments.DiscoverySession
 	err  error
-	last uint64
+	// closed marks an evicted entry whose session was closed; a request
+	// that looked the entry up before the eviction looks up again.
+	// Guarded by mu.
+	closed bool
+	last   uint64 // LRU stamp, guarded by the pool's mu
 }
 
-type discoveryEntry struct {
-	mu   sync.Mutex
-	s    *experiments.DiscoverySession
-	last uint64
+// close closes the entry's session, returning its world to the world
+// pool, after any pass on it has ended.
+func (e *sessionEntry) close() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	if e.insp != nil {
+		e.insp.Close()
+	}
+	if e.disc != nil {
+		e.disc.Close()
+	}
 }
 
 // defaultSessionCap bounds the pool. Table I alone needs six inspect
@@ -59,10 +76,56 @@ func newSessionPool(cap int) *sessionPool {
 	if cap <= 0 {
 		cap = defaultSessionCap
 	}
-	return &sessionPool{
-		cap:  cap,
-		insp: make(map[string]*inspectEntry),
-		disc: make(map[int64]*discoveryEntry),
+	return &sessionPool{cap: cap, entries: make(map[string]*sessionEntry)}
+}
+
+// with runs pass on the pooled session for key, under the entry lock. On
+// a miss, build fills in a new entry first (followers queue on its lock);
+// an entry whose build failed is not kept. Sessions evicted to make room
+// are closed before with returns, once their in-flight passes end.
+func (p *sessionPool) with(key string, build, pass func(*sessionEntry)) {
+	var evicted []*sessionEntry
+	defer func() {
+		for _, e := range evicted {
+			e.close()
+		}
+	}()
+	for {
+		p.mu.Lock()
+		e, ok := p.entries[key]
+		if ok {
+			p.hits++
+		} else {
+			p.misses++
+			e = &sessionEntry{}
+			e.mu.Lock() // hold until built; followers queue on the entry lock
+			p.entries[key] = e
+		}
+		e.last = p.tickLocked()
+		if !ok {
+			evicted = append(evicted, p.evictLocked()...)
+		}
+		p.mu.Unlock()
+
+		if ok {
+			e.mu.Lock()
+		} else {
+			build(e)
+			if e.err != nil {
+				p.mu.Lock()
+				if p.entries[key] == e {
+					delete(p.entries, key) // do not cache a broken world
+				}
+				p.mu.Unlock()
+			}
+		}
+		if e.closed {
+			e.mu.Unlock()
+			continue // evicted and closed since the lookup
+		}
+		pass(e)
+		e.mu.Unlock()
+		return
 	}
 }
 
@@ -79,40 +142,20 @@ func (p *sessionPool) inspect(prof cloud.ProviderProfile, seed int64, workers in
 // is channel-set independent, RollUp is post-processing — so a Table I scan
 // and a matrix scan of the same target reuse one world.
 func (p *sessionPool) inspectChannels(prof cloud.ProviderProfile, seed int64, workers int, channels []core.Channel) (experiments.CloudInspection, error) {
-	key := fmt.Sprintf("%s\x00%d", prof.Name, seed)
-	p.mu.Lock()
-	e, ok := p.insp[key]
-	if ok {
-		p.hits++
-	} else {
-		p.misses++
-		e = &inspectEntry{}
-		e.mu.Lock() // hold until built; followers queue on the entry lock
-		p.insp[key] = e
-	}
-	e.last = p.tickLocked()
-	if !ok {
-		p.evictLocked()
-	}
-	p.mu.Unlock()
-
-	if !ok {
-		s, err := experiments.NewInspectSession(prof, chaos.Spec{}, seed)
-		e.s, e.err = s, err
-		if err != nil {
-			p.mu.Lock()
-			delete(p.insp, key) // do not cache a broken world
-			p.mu.Unlock()
-		}
-		e.mu.Unlock()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return experiments.CloudInspection{}, e.err
-	}
-	return e.s.InspectChannels(channels, workers), nil
+	var (
+		out experiments.CloudInspection
+		err error
+	)
+	p.with(fmt.Sprintf("inspect\x00%s\x00%d", prof.Name, seed),
+		func(e *sessionEntry) {
+			e.insp, e.err = experiments.NewInspectSession(prof, chaos.Spec{}, seed)
+		},
+		func(e *sessionEntry) {
+			if err = e.err; err == nil {
+				out = e.insp.InspectChannels(channels, workers)
+			}
+		})
+	return out, err
 }
 
 // table1 runs the full six-provider Table I sweep through pooled sessions,
@@ -181,30 +224,11 @@ func (p *sessionPool) matrix(ctx context.Context, seed int64, workers int) (*exp
 
 // discovery runs the systematic sweep through a pooled testbed session.
 func (p *sessionPool) discovery(seed int64, workers int) *experiments.DiscoveryResult {
-	p.mu.Lock()
-	e, ok := p.disc[seed]
-	if ok {
-		p.hits++
-	} else {
-		p.misses++
-		e = &discoveryEntry{}
-		e.mu.Lock()
-		p.disc[seed] = e
-	}
-	e.last = p.tickLocked()
-	if !ok {
-		p.evictLocked()
-	}
-	p.mu.Unlock()
-
-	if !ok {
-		e.s = experiments.NewDiscoverySession(chaos.Spec{}, seed)
-		e.mu.Unlock()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.s.Discover(workers)
+	var out *experiments.DiscoveryResult
+	p.with(fmt.Sprintf("discover\x00%d", seed),
+		func(e *sessionEntry) { e.disc = experiments.NewDiscoverySession(chaos.Spec{}, seed) },
+		func(e *sessionEntry) { out = e.disc.Discover(workers) })
+	return out
 }
 
 // tickLocked advances the LRU clock. Callers hold p.mu.
@@ -214,36 +238,24 @@ func (p *sessionPool) tickLocked() uint64 {
 }
 
 // evictLocked drops least-recently-used sessions until the pool fits its
-// cap. Callers hold p.mu. An evicted session that is still mid-pass keeps
-// running — eviction only forgets the pool's pointer.
-func (p *sessionPool) evictLocked() {
-	for len(p.insp)+len(p.disc) > p.cap {
+// cap and returns them for the caller to close once it has released p.mu.
+// Callers hold p.mu.
+func (p *sessionPool) evictLocked() []*sessionEntry {
+	var out []*sessionEntry
+	for len(p.entries) > p.cap {
 		var (
-			oldest   uint64 = ^uint64(0)
-			inspKey  string
-			discKey  int64
-			fromInsp bool
-			found    bool
+			oldest uint64 = ^uint64(0)
+			victim string
 		)
-		for k, e := range p.insp {
+		for k, e := range p.entries {
 			if e.last < oldest {
-				oldest, inspKey, fromInsp, found = e.last, k, true, true
+				oldest, victim = e.last, k
 			}
 		}
-		for k, e := range p.disc {
-			if e.last < oldest {
-				oldest, discKey, fromInsp, found = e.last, k, false, true
-			}
-		}
-		if !found {
-			return
-		}
-		if fromInsp {
-			delete(p.insp, inspKey)
-		} else {
-			delete(p.disc, discKey)
-		}
+		out = append(out, p.entries[victim])
+		delete(p.entries, victim)
 	}
+	return out
 }
 
 // EngineInfo is the aggregate engine view the /v1/engine endpoint serves:
@@ -265,36 +277,30 @@ type EngineInfo struct {
 	SnapshotRestores uint64 `json:"snapshot_restores"`
 }
 
-// info snapshots the pool. Session engines are read without taking entry
-// locks — engine.Stats is internally synchronized.
+// info snapshots the pool. Session engines are read under their entry
+// locks, so a pass in flight finishes first; entries closed since the
+// snapshot are skipped.
 func (p *sessionPool) info() EngineInfo {
 	p.mu.Lock()
-	insp := make([]*inspectEntry, 0, len(p.insp))
-	for _, e := range p.insp {
-		insp = append(insp, e)
-	}
-	disc := make([]*discoveryEntry, 0, len(p.disc))
-	for _, e := range p.disc {
-		disc = append(disc, e)
+	entries := make([]*sessionEntry, 0, len(p.entries))
+	for _, e := range p.entries {
+		entries = append(entries, e)
 	}
 	out := EngineInfo{
-		Sessions:         len(p.insp) + len(p.disc),
+		Sessions:         len(p.entries),
 		SessionHits:      p.hits,
 		SessionMisses:    p.misses,
 		SnapshotRestores: experiments.SnapshotRestores(),
 	}
 	p.mu.Unlock()
-	for _, e := range insp {
+	for _, e := range entries {
 		e.mu.Lock()
-		if e.s != nil {
-			out.Stats = out.Stats.Add(e.s.EngineStats())
-		}
-		e.mu.Unlock()
-	}
-	for _, e := range disc {
-		e.mu.Lock()
-		if e.s != nil {
-			out.Stats = out.Stats.Add(e.s.EngineStats())
+		switch {
+		case e.closed:
+		case e.insp != nil:
+			out.Stats = out.Stats.Add(e.insp.EngineStats())
+		case e.disc != nil:
+			out.Stats = out.Stats.Add(e.disc.EngineStats())
 		}
 		e.mu.Unlock()
 	}

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"sync"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestRunScanWithPoolIsByteIdenticalAndCached(t *testing.T) {
@@ -96,6 +99,91 @@ func TestSessionPoolLRUEviction(t *testing.T) {
 	}
 	if got := pool.info().SessionMisses; got != 4 {
 		t.Errorf("rerun of evicted seed: misses = %d, want 4 (rebuild)", got)
+	}
+}
+
+// TestEvictedSessionReturnsWorldToPool evicts an inspect session past the
+// cap and asks for its key again: the new session must restore the world
+// the evicted one gave back instead of rebuilding it, and serve the bytes
+// of a cold scan. The cold scans run last, so the pooled world is the one
+// the first session built.
+func TestEvictedSessionReturnsWorldToPool(t *testing.T) {
+	pool := newSessionPool(2)
+	ctx := context.Background()
+	reqs := []ScanRequest{
+		{Kind: KindInspect, Provider: "local", Seed: 7101},
+		{Kind: KindInspect, Provider: "local", Seed: 7102},
+		{Kind: KindInspect, Provider: "local", Seed: 7103}, // evicts 7101
+	}
+	for _, req := range reqs {
+		if _, err := runScanWith(ctx, req, pool); err != nil {
+			t.Fatalf("seed %d: %v", req.Seed, err)
+		}
+	}
+	restores := experiments.SnapshotRestores()
+	again, err := runScanWith(ctx, reqs[0], pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := experiments.SnapshotRestores(); got <= restores {
+		t.Errorf("rerun of the evicted key rebuilt its world: snapshot restores %d → %d", restores, got)
+	}
+	if info := pool.info(); info.SessionMisses != 4 || info.Sessions != 2 {
+		t.Errorf("pool after the rerun: %+v, want 4 misses and 2 sessions", info)
+	}
+	cold, err := runScan(ctx, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Rendered != cold.Rendered {
+		t.Error("session over the restored world differs from a cold scan")
+	}
+}
+
+// TestSessionPoolConcurrentEviction drives more keys than the pool holds
+// from several goroutines, so entries are evicted and closed while other
+// requests have just looked them up. Every response must match a cold
+// scan; run under -race it also checks that no pass touches a closed
+// session's world.
+func TestSessionPoolConcurrentEviction(t *testing.T) {
+	pool := newSessionPool(1)
+	ctx := context.Background()
+	reqs := []ScanRequest{
+		{Kind: KindInspect, Provider: "local", Seed: 7201},
+		{Kind: KindInspect, Provider: "cc1", Seed: 7201},
+		{Kind: KindDiscovery, Seed: 7201},
+	}
+	got := make([][]string, 3)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2*len(reqs); i++ {
+				res, err := runScanWith(ctx, reqs[(g+i)%len(reqs)], pool)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], res.Rendered)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, rendered := range got {
+		for i, r := range rendered {
+			req := reqs[(g+i)%len(reqs)]
+			cold, err := runScan(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != cold.Rendered {
+				t.Errorf("goroutine %d request %d (%s %s): differs from a cold scan", g, i, req.Kind, req.Provider)
+			}
+		}
+	}
+	if info := pool.info(); info.Sessions != 1 {
+		t.Errorf("pool holds %d sessions, want cap 1", info.Sessions)
 	}
 }
 
