@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt vet build test race fuzz-smoke bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
+.PHONY: check lint fmt vet build cross test race fuzz-smoke bench bench-full bench-json bench-guard profile chaos chaos-sweep clean
 
 check: fmt vet build race
 
@@ -25,6 +25,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Cross-build without assembly: internal/fastrand has AVX2 row kernels on
+# amd64 only, and this keeps the pure-Go build of every package compiling
+# (and fastrand's fallback declarations vet-clean) on another GOARCH.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/fastrand
 
 test:
 	$(GO) test ./...

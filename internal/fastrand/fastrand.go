@@ -40,7 +40,40 @@
 // init returns.
 //
 // Equivalence for every exported method is enforced by property tests in
-// fastrand_test.go across seeds and interleaved method sequences.
+// fastrand_test.go and rows_test.go across seeds and interleaved method
+// sequences.
+//
+// # SIMD path
+//
+// On amd64 CPUs with AVX2 (checked once at init through CPUID, with XGETBV
+// confirming the OS saves YMM state), AddScaledJitterRows and
+// AddScaledJitter2Rows draw each wrap-free run of the lag window four
+// draws at a time in assembly (fastrand_amd64.s). Every result stays
+// bit-identical to the pure-Go loops, which remain the only path on other
+// CPUs and architectures and the reference the tests compare against:
+//
+//   - Lanes. Draw j reads vec[feed-1-j] and vec[tap-1-j], so four
+//     consecutive draws are one 32-byte load from each window and one
+//     VPADDQ. Their inputs are independent: a draw reads a word written
+//     by an earlier draw only 273 draws later. The earliest draw sits in
+//     the highest lane; a VPERMPD puts the lanes back in slot order (for
+//     row pairs, the same permutation splits the usage and time draws).
+//   - Exact conversion. Float64 is float64(Int63) · 2^-63, and
+//     CVTSI2SD rounds the 63-bit integer once, to nearest even. AVX2 has
+//     no 64-bit integer convert, so the loop places the high and low
+//     32-bit halves in the mantissas of 2^84 and 2^52, subtracts
+//     2^84+2^52 from the first (exact) and adds the second: one rounding,
+//     the same one. Scaling by a power of two is exact, so f*2 is the
+//     converted value times 2^-62.
+//   - No FMA. The arithmetic is VMULPD, VSUBPD and VADDPD in the order of
+//     the scalar expression scale * (1 + (f*2-1)*amp) + dst; a fused
+//     multiply-add would skip a rounding and change bits. The Go compiler
+//     does not fuse these operations on amd64 either.
+//   - Retries. An Int63 of 2^63-512 or more rounds to 2^63, so Float64
+//     would retry it. The loop tests each group of four with VPCMPGTQ
+//     before storing anything; a group holding a retry is left undrawn
+//     and the pure-Go loop takes over for the rest of the run, so the
+//     retry happens exactly where Float64 would make it.
 //
 // # Concurrency
 //
@@ -49,7 +82,10 @@
 // no sharing occurs (see ARCHITECTURE.md, "tick pipeline").
 package fastrand
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 const (
 	rngLen = 607
@@ -191,11 +227,12 @@ func (r *Rand) Int31() int32 { return int32(r.Int63() >> 32) }
 // Float64 returns a pseudo-random number in the half-open interval
 // [0.0, 1.0), matching math/rand's retry-on-1.0 behavior exactly.
 //
-// The one-in-2^10 retry (float64(2^63-1) and neighbors round up to 2^63,
-// so f==1 is reachable) lives in a separate method: keeping the loop out
-// of this body keeps Float64 — and its callers like kernel.(*Kernel).jitter
-// — within the compiler's inlining budget, which matters at ~850 draws per
-// server tick.
+// The retry happens when Int63 is 2^63-512 or more: those 512 of the 2^63
+// values round up to 2^63, so f == 1 is reachable, with probability
+// 2^-54 per draw. The retry loop lives in a separate method: keeping it
+// out of this body keeps Float64 — and its callers like
+// kernel.(*Kernel).jitter — within the compiler's inlining budget, which
+// matters at ~850 draws per server tick.
 func (r *Rand) Float64() float64 {
 	// math/rand computes Int63() / 2^63; multiplying by the exactly
 	// representable 2^-63 is bit-identical (scaling by a power of two is
@@ -219,238 +256,85 @@ func (r *Rand) float64Retry() float64 {
 	}
 }
 
-// FillFloat64 writes len(dst) consecutive Float64 draws into dst — the
-// same values len(dst) Float64 calls would return, in the same order.
-//
-// The point is register residency: Float64 must commit tap/feed back to
-// the struct after every draw (the compiler cannot keep fields cached
-// across calls whose surroundings store to arbitrary memory), whereas this
-// loop keeps both indices in locals for the whole block. Callers that
-// consume a batch of draws with a fixed accumulation shape should prefer
-// the fused AddScaledJitter/AddScaledJitter2, which skip the scratch
-// buffer entirely; FillFloat64 is the general-purpose block primitive.
-func (r *Rand) FillFloat64(dst []float64) {
-	tap, feed := int(r.tap), int(r.feed)
-	// The generator invariant keeps both indices inside the state vector;
-	// asserting it once up front (it cannot fire on a Rand built by New)
-	// lets the compiler's bounds-check elimination see that every vec
-	// access below is in range instead of checking each of them per draw.
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	for i := 0; i < len(dst); {
-		tap--
-		if tap < 0 {
-			tap = rngLen - 1
-		}
-		feed--
-		if feed < 0 {
-			feed = rngLen - 1
-		}
-		x := r.vec[feed] + r.vec[tap]
-		r.vec[feed] = x
-		// Identical to Float64: Int63 scaling with retry-on-1.0. On the
-		// one-in-2^10 f==1 draw, simply not advancing i redraws the slot.
-		f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-		if f != 1 {
-			dst[i] = f
-			i++
-		}
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
-}
-
-// AddScaledJitter draws len(dst) consecutive Float64 values f and performs
-//
-//	dst[i] += scale * (1 + (f*2-1)*amp)
-//
-// consuming exactly the same stream positions as len(dst) Float64 calls.
-// This is the simulation kernel's per-CPU jitter fan-out (the expression is
-// kernel.jitter's body verbatim, with the row's common factor hoisted as
-// scale); fusing the draw with the accumulate keeps the generator state in
-// registers AND skips the scratch-buffer round trip a Fill-then-consume
-// pair would cost — at ~600 fused draws per 24-core server tick the memory
-// traffic is the difference that shows up in Fig. 3 sweeps.
-func (r *Rand) AddScaledJitter(dst []float64, scale, amp float64) {
-	tap, feed := int(r.tap), int(r.feed)
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	// Chunked draw loop: between wraps both indices only decrement, so a
-	// run of min(tap, feed) draws needs no wrap branches at all. The outer
-	// loop handles the (rare) wrap step and any slots a retry left
-	// unfilled; the inner loop is pure decrement/load/FMA traffic.
-	i := 0
-	for i < len(dst) {
-		n := tap
-		if feed < n {
-			n = feed
-		}
-		if rem := len(dst) - i; n > rem {
-			n = rem
-		}
-		if n <= 0 {
-			// One draw with full wrap handling (an index at 0 wraps to
-			// rngLen-1 because the decrement happens before use).
-			tap--
-			if tap < 0 {
-				tap = rngLen - 1
-			}
-			feed--
-			if feed < 0 {
-				feed = rngLen - 1
-			}
-			x := r.vec[feed] + r.vec[tap]
-			r.vec[feed] = x
-			// Identical to Float64: Int63 scaling with retry-on-1.0; a
-			// rejected draw simply doesn't advance i.
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f != 1 {
-				dst[i] += scale * (1 + (f*2-1)*amp)
-				i++
-			}
-			continue
-		}
-		// Reslicing the two lag windows to exactly n elements lets the
-		// compiler drop the per-draw vec bounds checks: m runs [0,n) over
-		// slices of length n. The windows alias the same backing array at
-		// the generator's tap distance, so writes at higher m are read back
-		// at lower m exactly as the in-place form did.
-		vt := r.vec[tap-n : tap][:n]
-		vf := r.vec[feed-n : feed][:n]
-		for m := n - 1; m >= 0; m-- {
-			x := vf[m] + vt[m]
-			vf[m] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f != 1 {
-				dst[i] += scale * (1 + (f*2-1)*amp)
-				i++
-			}
-		}
-		tap -= n
-		feed -= n
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
-}
-
-// AddScaledJitter2 is the paired-stream variant of AddScaledJitter: for
-// each index i it draws two consecutive Float64 values f1, f2 and performs
-//
-//	a[i] += scaleA * (1 + (f1*2-1)*amp)
-//	b[i] += scaleB * (1 + (f2*2-1)*amp)
-//
-// consuming exactly the stream of 2·len(a) Float64 calls in a-then-b
-// order. It panics if len(a) != len(b). The kernel's cpuidle residency
-// update (usage entry count and time-in-state per CPU, two draws per CPU)
-// is the intended caller.
-func (r *Rand) AddScaledJitter2(a, b []float64, scaleA, scaleB, amp float64) {
-	if len(a) != len(b) {
-		panic("fastrand: AddScaledJitter2 slice length mismatch")
-	}
-	tap, feed := int(r.tap), int(r.feed)
-	if uint(tap) >= rngLen || uint(feed) >= rngLen {
-		panic("fastrand: corrupt generator state")
-	}
-	// Chunked like AddScaledJitter, with a two-phase accumulator: phase 0
-	// holds the pending usage draw (f1) until phase 1 completes the pair
-	// and commits both accumulates in a-then-b order. The chunk budget n
-	// counts DRAWS (not pairs), so a mid-chunk retry can never overrun the
-	// wrap-free run.
-	i := 0
-	phase := 0
-	var f1 float64
-	for i < len(a) {
-		n := tap
-		if feed < n {
-			n = feed
-		}
-		if rem := 2*(len(a)-i) - phase; n > rem {
-			n = rem
-		}
-		if n <= 0 {
-			tap--
-			if tap < 0 {
-				tap = rngLen - 1
-			}
-			feed--
-			if feed < 0 {
-				feed = rngLen - 1
-			}
-			x := r.vec[feed] + r.vec[tap]
-			r.vec[feed] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f == 1 {
-				continue // retry: redraw the same phase
-			}
-			if phase == 0 {
-				f1, phase = f, 1
-			} else {
-				a[i] += scaleA * (1 + (f1*2-1)*amp)
-				b[i] += scaleB * (1 + (f*2-1)*amp)
-				i++
-				phase = 0
-			}
-			continue
-		}
-		// Resliced lag windows as in AddScaledJitter: bounds-check-free
-		// draws, aliasing preserved through the shared backing array.
-		vt := r.vec[tap-n : tap][:n]
-		vf := r.vec[feed-n : feed][:n]
-		for m := n - 1; m >= 0; m-- {
-			x := vf[m] + vt[m]
-			vf[m] = x
-			f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
-			if f == 1 {
-				continue
-			}
-			if phase == 0 {
-				f1, phase = f, 1
-			} else {
-				a[i] += scaleA * (1 + (f1*2-1)*amp)
-				b[i] += scaleB * (1 + (f*2-1)*amp)
-				i++
-				phase = 0
-			}
-		}
-		tap -= n
-		feed -= n
-	}
-	r.tap, r.feed = int32(tap), int32(feed)
-}
-
-// AddScaledJitterRows is the row-batched form of AddScaledJitter over a
-// struct-of-arrays block: dst holds len(scales) consecutive rows of cols
-// elements each (len(dst) == cols*len(scales)), and row r receives
+// AddScaledJitterRows draws Float64 values f and accumulates a jitter term
+// into a struct-of-arrays block: dst holds len(scales) consecutive rows of
+// cols elements each (len(dst) == cols*len(scales)), and row r receives
 //
 //	dst[r*cols+c] += scales[r] * (1 + (f*2-1)*amp)
 //
-// with draws consumed in row-major order — exactly the stream of
-// len(scales) sequential AddScaledJitter calls, one per row. Fusing the
-// rows into one call keeps tap/feed in registers across the whole block
-// (a per-row call must commit them to memory between rows) and turns the
-// kernel tick's widest fan-out — 17 interrupt/softirq rows per server —
-// into a single pass over one contiguous backing array.
+// with draws consumed in row-major order, exactly the stream of len(dst)
+// Float64 calls. The expression is kernel.jitter's body verbatim with the
+// row's common factor hoisted as the scale. Fusing the draw with the
+// accumulate keeps tap/feed in registers for the whole block and needs no
+// scratch buffer; one call covers the kernel tick's widest fan-out, its
+// 17 interrupt/softirq rows per server. A single row (cols == len(dst))
+// is the plain per-CPU fan-out.
 func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, amp float64) {
 	if len(dst) != cols*len(scales) {
 		panic("fastrand: AddScaledJitterRows rows/cols mismatch")
 	}
+	if useSIMD && cols >= 4 {
+		r.jitterRowsSIMD(dst, cols, scales, amp)
+		return
+	}
+	r.jitterRows(dst, cols, scales, amp, 0, len(dst))
+}
+
+// checkState panics unless both lag-window indices lie inside the state
+// vector. The invariant cannot fail on a Rand built by New, and the
+// assembly loops, which read whole windows below the indices unchecked,
+// rely on it.
+func (r *Rand) checkState() {
+	if uint(r.tap) >= rngLen || uint(r.feed) >= rngLen {
+		panic("fastrand: corrupt generator state")
+	}
+}
+
+// jitterRowsSIMD drives AddScaledJitterRows through the AVX2 loop, one
+// call per wrap-free run of the lag window, spanning row boundaries. The
+// pure-Go loop draws the rest of each run (fewer than four draws, or from
+// a group holding a retry on) and the wrap step after it.
+func (r *Rand) jitterRowsSIMD(dst []float64, cols int, scales []float64, amp float64) {
+	r.checkState()
+	for i := 0; i < len(dst); {
+		tap, feed := int(r.tap), int(r.feed)
+		n := min(tap, feed, len(dst)-i)
+		k := 0
+		if n >= 4 {
+			row := i / cols
+			k = jitterRowsAVX2(&r.vec[feed-n], &r.vec[tap-n], &dst[i], n,
+				&scales[row], (row+1)*cols-i, cols, amp)
+			r.tap, r.feed = int32(tap-k), int32(feed-k)
+			i += k
+		}
+		m := min(len(dst)-i, n-k+1)
+		r.jitterRows(dst, cols, scales, amp, i, m)
+		i += m
+	}
+}
+
+// jitterRows is AddScaledJitterRows' pure-Go loop over the count slots of
+// dst starting at slot i.
+func (r *Rand) jitterRows(dst []float64, cols int, scales []float64, amp float64, i, count int) {
 	tap, feed := int(r.tap), int(r.feed)
+	// The generator invariant keeps both indices inside the state vector;
+	// asserting it once up front (it cannot fire on a Rand built by New)
+	// lets the compiler drop the bounds checks on the lag windows below.
 	if uint(tap) >= rngLen || uint(feed) >= rngLen {
 		panic("fastrand: corrupt generator state")
 	}
-	i := 0
-	for row := 0; row < len(scales); row++ {
+	for count > 0 {
+		row := i / cols
+		end := min((row+1)*cols, i+count)
+		count -= end - i
 		scale := scales[row]
-		end := i + cols
 		for i < end {
-			n := tap
-			if feed < n {
-				n = feed
-			}
-			if rem := end - i; n > rem {
-				n = rem
-			}
+			// Between wraps both indices only decrement, so a run of
+			// min(tap, feed) draws needs no wrap branches at all.
+			n := min(tap, feed, end-i)
 			if n <= 0 {
+				// One draw with full wrap handling (an index at 0 wraps to
+				// rngLen-1 because the decrement happens before use).
 				tap--
 				if tap < 0 {
 					tap = rngLen - 1
@@ -461,6 +345,8 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 				}
 				x := r.vec[feed] + r.vec[tap]
 				r.vec[feed] = x
+				// Identical to Float64: Int63 scaling with retry-on-1.0; a
+				// rejected draw simply doesn't advance i.
 				f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
 				if f != 1 {
 					dst[i] += scale * (1 + (f*2-1)*amp)
@@ -468,14 +354,17 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 				}
 				continue
 			}
-			// Resliced lag windows as in AddScaledJitter: bounds-check-free
-			// draws, aliasing preserved through the shared backing array.
-			// The destination window is pre-sliced to n too, and the loop
-			// runs optimistically: with no retry, draw n-1-j lands in d[j],
-			// a pure induction-variable pairing the compiler proves in
-			// bounds on both sides. A retry (probability ~2^-54 per draw)
-			// breaks out with the stream position reconciled and lets the
-			// outer loop re-chunk — same draws, same order, same sums.
+			// Reslicing the two lag windows to exactly n elements lets the
+			// compiler drop the per-draw vec bounds checks. The windows
+			// alias the same backing array at the generator's tap distance,
+			// so writes at higher m are read back at lower m exactly as the
+			// in-place form did. The destination window is pre-sliced to n
+			// too, and the loop runs optimistically: with no retry, draw
+			// n-1-j lands in d[j], a pure induction-variable pairing the
+			// compiler proves in bounds on both sides. A retry (probability
+			// 2^-54 per draw) breaks out with the stream position
+			// reconciled and lets the outer loop re-chunk — same draws,
+			// same order, same sums.
 			vt := r.vec[tap-n : tap][:n]
 			vf := r.vec[feed-n : feed][:n]
 			d := dst[i : i+n][:n]
@@ -506,17 +395,18 @@ func (r *Rand) AddScaledJitterRows(dst []float64, cols int, scales []float64, am
 	r.tap, r.feed = int32(tap), int32(feed)
 }
 
-// AddScaledJitter2Rows is the row-batched form of AddScaledJitter2: ab
-// holds len(scaleA) row *pairs* — for pair p, an "a" row at ab[(2p)*cols:]
-// and a "b" row at ab[(2p+1)*cols:] — and each column of each pair draws
-// two consecutive values f1, f2:
+// AddScaledJitter2Rows is the paired form of AddScaledJitterRows: ab holds
+// len(scaleA) row *pairs* — for pair p, an "a" row at ab[(2p)*cols:] and a
+// "b" row at ab[(2p+1)*cols:] — and each column of each pair draws two
+// consecutive values f1, f2:
 //
 //	a[c] += scaleA[p] * (1 + (f1*2-1)*amp)
 //	b[c] += scaleB[p] * (1 + (f2*2-1)*amp)
 //
-// consuming exactly the stream of len(scaleA) sequential AddScaledJitter2
-// calls. The kernel's cpuidle update (4 C-states × usage/time rows) is the
-// intended caller.
+// consuming exactly the stream of 2·cols·len(scaleA) Float64 calls, pairs
+// in order, columns in order, f1 before f2. The kernel's cpuidle update
+// (4 C-states × usage/time rows, two draws per CPU) is the intended
+// caller.
 func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []float64, amp float64) {
 	if len(scaleA) != len(scaleB) {
 		panic("fastrand: AddScaledJitter2Rows scale length mismatch")
@@ -524,25 +414,63 @@ func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []flo
 	if len(ab) != 2*cols*len(scaleA) {
 		panic("fastrand: AddScaledJitter2Rows rows/cols mismatch")
 	}
+	if useSIMD {
+		r.jitter2RowsSIMD(ab, cols, scaleA, scaleB, amp)
+		return
+	}
+	r.jitter2Rows(ab, cols, scaleA, scaleB, amp, 0, cols*len(scaleA))
+}
+
+// jitter2RowsSIMD drives AddScaledJitter2Rows through the AVX2 loop as
+// jitterRowsSIMD does, counting in columns (two draws each) over all pairs
+// in order. Handing the pure-Go loop whole columns keeps every vector call
+// on a column boundary, where the loop needs it.
+func (r *Rand) jitter2RowsSIMD(ab []float64, cols int, scaleA, scaleB []float64, amp float64) {
+	r.checkState()
+	total := cols * len(scaleA)
+	for q := 0; q < total; {
+		tap, feed := int(r.tap), int(r.feed)
+		n := min(tap, feed, 2*(total-q))
+		k := 0
+		if n >= 4 {
+			p, c := q/cols, q%cols
+			k = jitter2RowsAVX2(&r.vec[feed-n], &r.vec[tap-n], &ab[2*p*cols+c], n,
+				&scaleA[p], &scaleB[p], cols-c, cols, amp)
+			r.tap, r.feed = int32(tap-k), int32(feed-k)
+			q += k / 2
+		}
+		// Enough columns to take the rest of the run and the wrap step.
+		m := min(total-q, (n-k)/2+1)
+		r.jitter2Rows(ab, cols, scaleA, scaleB, amp, q, m)
+		q += m
+	}
+}
+
+// jitter2Rows is AddScaledJitter2Rows' pure-Go loop over the count columns
+// starting at column q, counted over all pairs in order (pair q/cols,
+// column q%cols).
+func (r *Rand) jitter2Rows(ab []float64, cols int, scaleA, scaleB []float64, amp float64, q, count int) {
 	tap, feed := int(r.tap), int(r.feed)
 	if uint(tap) >= rngLen || uint(feed) >= rngLen {
 		panic("fastrand: corrupt generator state")
 	}
-	for p := 0; p < len(scaleA); p++ {
+	for count > 0 {
+		p, i := q/cols, q%cols
+		end := min(cols, i+count)
+		q += end - i
+		count -= end - i
 		a := ab[2*p*cols : (2*p+1)*cols]
 		b := ab[(2*p+1)*cols : (2*p+2)*cols]
 		sa, sb := scaleA[p], scaleB[p]
-		i := 0
+		// A two-phase accumulator: phase 1 holds the pending usage draw f1
+		// until the time draw completes the column and commits both
+		// accumulates, a then b. The run budget n counts DRAWS (not
+		// columns), so a mid-run retry can never overrun the wrap-free
+		// run.
 		phase := 0
 		var f1 float64
-		for i < cols {
-			n := tap
-			if feed < n {
-				n = feed
-			}
-			if rem := 2*(cols-i) - phase; n > rem {
-				n = rem
-			}
+		for i < end {
+			n := min(tap, feed, 2*(end-i)-phase)
 			if n <= 0 {
 				tap--
 				if tap < 0 {
@@ -556,7 +484,7 @@ func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []flo
 				r.vec[feed] = x
 				f := float64(int64(x&(1<<63-1))) * (1.0 / (1 << 63))
 				if f == 1 {
-					continue
+					continue // retry: redraw the same phase
 				}
 				if phase == 0 {
 					f1, phase = f, 1
@@ -568,7 +496,7 @@ func (r *Rand) AddScaledJitter2Rows(ab []float64, cols int, scaleA, scaleB []flo
 				}
 				continue
 			}
-			// Resliced lag windows as in AddScaledJitter: bounds-check-free
+			// Resliced lag windows as in jitterRows: bounds-check-free
 			// draws, aliasing preserved through the shared backing array.
 			vt := r.vec[tap-n : tap][:n]
 			vf := r.vec[feed-n : feed][:n]
@@ -627,6 +555,37 @@ func (r *Rand) Int31n(n int32) int32 {
 		v = r.Int31()
 	}
 	return v % n
+}
+
+// FillInt31n writes len(dst) consecutive Int31n(n) draws into dst: the
+// same values, consuming the same stream positions, as len(dst) Int31n
+// (or Intn) calls. It panics if n <= 0.
+//
+// Int31n pays two hardware divisions per call, one for its rejection
+// threshold and one for the final modulo. The batch computes the threshold
+// once and reduces by multiply-shift: with M = ceil(2^64/n), v mod n is
+// the high word of (M·v mod 2^64)·n, exactly, for every 32-bit v and n
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation", 2019).
+func (r *Rand) FillInt31n(dst []int32, n int32) {
+	if n <= 0 {
+		panic("invalid argument to FillInt31n")
+	}
+	if n&(n-1) == 0 { // n is power of two
+		for i := range dst {
+			dst[i] = r.Int31() & (n - 1)
+		}
+		return
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	m := ^uint64(0)/uint64(n) + 1
+	for i := range dst {
+		v := r.Int31()
+		for v > max {
+			v = r.Int31()
+		}
+		mod, _ := bits.Mul64(m*uint64(v), uint64(n))
+		dst[i] = int32(mod)
+	}
 }
 
 // Int63n returns a non-negative pseudo-random number in [0,n).

@@ -202,89 +202,6 @@ func TestInterleavedEquivalence(t *testing.T) {
 	}
 }
 
-func TestFillFloat64Equivalence(t *testing.T) {
-	for _, seed := range seeds {
-		fr := New(seed)
-		std := rand.New(rand.NewSource(seed))
-		// Interleave block fills of varying sizes (including 0 and 1)
-		// with scalar draws: the block must consume exactly the same
-		// stream positions as the equivalent Float64 calls.
-		for _, n := range []int{0, 1, 3, 8, 64, 2, 607, 13, 1000} {
-			buf := make([]float64, n)
-			fr.FillFloat64(buf)
-			for i, v := range buf {
-				if want := std.Float64(); v != want {
-					t.Fatalf("seed %d block %d index %d: got %v want %v", seed, n, i, v, want)
-				}
-			}
-			if got, want := fr.Float64(), std.Float64(); got != want {
-				t.Fatalf("seed %d after block %d: scalar draw diverged (got %v want %v)", seed, n, got, want)
-			}
-		}
-	}
-}
-
-func TestAddScaledJitterEquivalence(t *testing.T) {
-	for _, seed := range seeds {
-		fr := New(seed)
-		std := rand.New(rand.NewSource(seed))
-		for _, n := range []int{0, 1, 8, 24, 3, 607, 100} {
-			scale, amp := 3.25, 0.1
-			got := make([]float64, n)
-			want := make([]float64, n)
-			for i := range got {
-				got[i] = float64(i) * 0.5 // non-zero accumulators
-				want[i] = float64(i) * 0.5
-			}
-			fr.AddScaledJitter(got, scale, amp)
-			for i := range want {
-				want[i] += scale * (1 + (std.Float64()*2-1)*amp)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d n %d index %d: got %v want %v", seed, n, i, got[i], want[i])
-				}
-			}
-			// Stream positions must line up afterwards too.
-			if g, w := fr.Float64(), std.Float64(); g != w {
-				t.Fatalf("seed %d after n %d: scalar draw diverged", seed, n)
-			}
-		}
-	}
-}
-
-func TestAddScaledJitter2Equivalence(t *testing.T) {
-	for _, seed := range seeds {
-		fr := New(seed)
-		std := rand.New(rand.NewSource(seed))
-		for _, n := range []int{0, 1, 8, 24, 304, 5} {
-			sa, sb, amp := 0.75, 1.5e6, 0.05
-			gotA := make([]float64, n)
-			gotB := make([]float64, n)
-			wantA := make([]float64, n)
-			wantB := make([]float64, n)
-			for i := 0; i < n; i++ {
-				gotA[i], wantA[i] = 2.0, 2.0
-				gotB[i], wantB[i] = 7.0, 7.0
-			}
-			fr.AddScaledJitter2(gotA, gotB, sa, sb, amp)
-			for i := 0; i < n; i++ {
-				wantA[i] += sa * (1 + (std.Float64()*2-1)*amp)
-				wantB[i] += sb * (1 + (std.Float64()*2-1)*amp)
-			}
-			for i := 0; i < n; i++ {
-				if gotA[i] != wantA[i] || gotB[i] != wantB[i] {
-					t.Fatalf("seed %d n %d index %d: got (%v,%v) want (%v,%v)",
-						seed, n, i, gotA[i], gotB[i], wantA[i], wantB[i])
-				}
-			}
-			if g, w := fr.Float64(), std.Float64(); g != w {
-				t.Fatalf("seed %d after n %d: scalar draw diverged", seed, n)
-			}
-		}
-	}
-}
-
 func BenchmarkStdlibFloat64(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var s float64
@@ -303,95 +220,21 @@ func BenchmarkFastrandFloat64(b *testing.B) {
 	_ = s
 }
 
-func TestAddScaledJitterRowsEquivalence(t *testing.T) {
-	for _, seed := range seeds {
-		fr := New(seed)
-		std := rand.New(rand.NewSource(seed))
-		for _, shape := range []struct{ rows, cols int }{
-			{0, 8}, {1, 1}, {1, 24}, {17, 24}, {5, 3}, {3, 607}, {2, 304},
-		} {
-			scales := make([]float64, shape.rows)
-			for i := range scales {
-				scales[i] = 0.5 + float64(i)*1.75
-			}
-			got := make([]float64, shape.rows*shape.cols)
-			want := make([]float64, shape.rows*shape.cols)
-			for i := range got {
-				got[i] = float64(i) * 0.25
-				want[i] = got[i]
-			}
-			fr.AddScaledJitterRows(got, shape.cols, scales, 0.1)
-			for r := 0; r < shape.rows; r++ {
-				for c := 0; c < shape.cols; c++ {
-					want[r*shape.cols+c] += scales[r] * (1 + (std.Float64()*2-1)*0.1)
-				}
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shape %dx%d index %d: got %v want %v",
-						seed, shape.rows, shape.cols, i, got[i], want[i])
-				}
-			}
-			if g, w := fr.Float64(), std.Float64(); g != w {
-				t.Fatalf("seed %d after %dx%d: scalar draw diverged", seed, shape.rows, shape.cols)
-			}
-		}
-	}
-}
-
-func TestAddScaledJitter2RowsEquivalence(t *testing.T) {
-	for _, seed := range seeds {
-		fr := New(seed)
-		std := rand.New(rand.NewSource(seed))
-		for _, shape := range []struct{ pairs, cols int }{
-			{0, 8}, {1, 1}, {4, 24}, {2, 307}, {3, 5},
-		} {
-			scaleA := make([]float64, shape.pairs)
-			scaleB := make([]float64, shape.pairs)
-			for i := range scaleA {
-				scaleA[i] = 0.75 + float64(i)
-				scaleB[i] = 1.5e6 / float64(i+1)
-			}
-			got := make([]float64, 2*shape.pairs*shape.cols)
-			want := make([]float64, len(got))
-			for i := range got {
-				got[i] = 3.0 + float64(i)
-				want[i] = got[i]
-			}
-			fr.AddScaledJitter2Rows(got, shape.cols, scaleA, scaleB, 0.05)
-			for p := 0; p < shape.pairs; p++ {
-				a := want[(2*p)*shape.cols : (2*p+1)*shape.cols]
-				b := want[(2*p+1)*shape.cols : (2*p+2)*shape.cols]
-				for c := 0; c < shape.cols; c++ {
-					a[c] += scaleA[p] * (1 + (std.Float64()*2-1)*0.05)
-					b[c] += scaleB[p] * (1 + (std.Float64()*2-1)*0.05)
-				}
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shape %dx%d index %d: got %v want %v",
-						seed, shape.pairs, shape.cols, i, got[i], want[i])
-				}
-			}
-			if g, w := fr.Float64(), std.Float64(); g != w {
-				t.Fatalf("seed %d after %dx%d: scalar draw diverged", seed, shape.pairs, shape.cols)
-			}
-		}
-	}
-}
-
 // TestSaveRestoreStreamIdentity pins the snapshot contract: the draw stream
 // after Restore replays exactly the stream after Save, across every method
-// class (scalars, bounded, Read's byte carry, and the fused block kernels),
-// and a single State can be restored any number of times.
+// class (scalars, bounded, Read's byte carry, the fused row kernels and the
+// batched bounded draw), and a single State can be restored any number of
+// times.
 func TestSaveRestoreStreamIdentity(t *testing.T) {
 	chooser := rand.New(rand.NewSource(11))
 	drain := func(r *Rand, n int) []uint64 {
 		out := make([]uint64, 0, 4*n)
 		buf := make([]byte, 9)
 		block := make([]float64, 13)
+		pair := make([]float64, 26)
+		bounded := make([]int32, 7)
 		for i := 0; i < n; i++ {
-			switch chooser.Intn(5) {
+			switch chooser.Intn(6) {
 			case 0:
 				out = append(out, r.Uint64())
 			case 1:
@@ -402,8 +245,9 @@ func TestSaveRestoreStreamIdentity(t *testing.T) {
 					out = append(out, uint64(b))
 				}
 			case 3:
-				r.FillFloat64(block)
-				for _, f := range block {
+				clear(pair)
+				r.AddScaledJitter2Rows(pair, 13, []float64{1.5}, []float64{4}, 0.05)
+				for _, f := range pair {
 					out = append(out, uint64(f*1e18))
 				}
 			case 4:
@@ -413,6 +257,11 @@ func TestSaveRestoreStreamIdentity(t *testing.T) {
 				r.AddScaledJitterRows(block, 13, []float64{2.5}, 0.1)
 				for _, f := range block {
 					out = append(out, uint64(f*1e18))
+				}
+			case 5:
+				r.FillInt31n(bounded, 2001)
+				for _, v := range bounded {
+					out = append(out, uint64(v))
 				}
 			}
 		}

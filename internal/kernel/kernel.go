@@ -130,7 +130,7 @@ type Kernel struct {
 	tasks      map[int]*Task
 	cgroups    map[string]*Cgroup
 	nextLockID int
-	sysLocks   []FileLock
+	sysLocks   []FileLock // the newest maxSysLocks daemon locks, oldest first
 	sysLockSeq uint64
 
 	// taskList mirrors tasks in ascending-pid order and cgroupList mirrors
@@ -154,6 +154,7 @@ type Kernel struct {
 	load15       float64
 	lastBusy     float64 // busy core-equivalents of the last tick
 	newidleCost  []uint64
+	newidleSteps []int32 // per-tick scratch: the walk's draws
 
 	// Interrupt accounting. The PerCPU slices of every IRQ and SoftIRQ are
 	// views into jitterRows (see below) unless ReferenceLayout is set.
@@ -312,6 +313,8 @@ func New(opts Options) *Kernel {
 	k.quotaDemand = make(map[string]float64, 8)
 	k.quotaOut = make(map[string]float64, 8)
 	k.newidleCost = make([]uint64, opts.Cores)
+	k.newidleSteps = make([]int32, opts.Cores)
+	k.sysLocks = make([]FileLock, 0, maxSysLocks)
 	k.schedRunNS = make([]float64, opts.Cores)
 	k.schedWaitNS = make([]float64, opts.Cores)
 	k.timeslices = make([]uint64, opts.Cores)
@@ -608,10 +611,10 @@ func (k *Kernel) Tick(now, dt float64) {
 	// transformations keep this section — the widest jitter fan-out of the
 	// tick — cheap: the per-CPU share is hoisted out of the inner loops
 	// (total/cores is the leading factor of the original left-associated
-	// expression), and each row's draw+accumulate is fused into a single
-	// fastrand pass (AddScaledJitter applies jitter's expression verbatim
-	// while keeping the generator state in registers, with no scratch
-	// buffer in between).
+	// expression), and the rows' draw+accumulate is fused into a single
+	// fastrand pass (AddScaledJitterRows applies jitter's expression
+	// verbatim while keeping the generator state in registers, with no
+	// scratch buffer in between).
 	if k.jitterRows != nil {
 		// SoA fast path: the 17 irq+softirq rows are consecutive in
 		// jitterRows, so one row-batched call covers the whole fan-out with
@@ -626,13 +629,19 @@ func (k *Kernel) Tick(now, dt float64) {
 		}
 		k.rng.AddScaledJitterRows(k.jitterRows[:len(k.rowScales)*k.opts.Cores], k.opts.Cores, k.rowScales, 0.1)
 	} else {
+		// Reference layout: the plain jitter loop, independent of the
+		// fused kernels it is the oracle for.
 		for _, irq := range k.irqs {
 			share := irq.ratePerSec(k) * dt / cores
-			k.rng.AddScaledJitter(irq.PerCPU, share, 0.1)
+			for c := range irq.PerCPU {
+				irq.PerCPU[c] += share * k.jitter(0.1)
+			}
 		}
 		for _, s := range k.softirqs {
 			share := s.ratePerSec(k) * dt / cores
-			k.rng.AddScaledJitter(s.PerCPU, share, 0.1)
+			for c := range s.PerCPU {
+				s.PerCPU[c] += share * k.jitter(0.1)
+			}
 		}
 	}
 	k.ctxtSwitches += (300 + 900*busy) * dt
@@ -658,7 +667,7 @@ func (k *Kernel) Tick(now, dt float64) {
 	if k.idleRows != nil {
 		// SoA fast path: all four usage/time row pairs in one call, draws
 		// in state order with usage-then-time pairing per CPU — the exact
-		// stream of the four reference AddScaledJitter2 calls.
+		// stream of the reference loop below.
 		for i := range k.idleStates {
 			// Deeper states get the longer residencies; POLL gets almost none.
 			weight := idleWeights[i]
@@ -672,9 +681,11 @@ func (k *Kernel) Tick(now, dt float64) {
 			weight := idleWeights[i]
 			usage := idleFrac * weight * 80 * dt
 			timeUS := idleFrac * weight * dt * 1e6 / cores
-			// Two draws per CPU, in the original usage-then-time order,
-			// fused with the accumulate (see section 5).
-			k.rng.AddScaledJitter2(st.UsagePerCPU, st.TimeUSPerCPU, usage, timeUS, 0.05)
+			// Two draws per CPU, in the original usage-then-time order.
+			for c := range st.UsagePerCPU {
+				st.UsagePerCPU[c] += usage * k.jitter(0.05)
+				st.TimeUSPerCPU[c] += timeUS * k.jitter(0.05)
+			}
 		}
 	}
 
@@ -712,7 +723,14 @@ func (k *Kernel) Tick(now, dt float64) {
 	k.sectorsRead += (40 + 1500*busy) * dt * k.jitter(0.4)
 	k.sectorsWritten += (80 + 2500*busy) * dt * k.jitter(0.4)
 	softnet := (25 + 700*busy/cores) * dt
-	k.rng.AddScaledJitter(k.softnetPackets, softnet, 0.2)
+	if k.jitterRows != nil {
+		scale := [1]float64{softnet}
+		k.rng.AddScaledJitterRows(k.softnetPackets, len(k.softnetPackets), scale[:], 0.2)
+	} else {
+		for c := range k.softnetPackets {
+			k.softnetPackets[c] += softnet * k.jitter(0.2)
+		}
+	}
 
 	// 9. Entropy pool random walk between depletion and refill.
 	k.entropyAvail += (k.rng.Float64()*2 - 1) * 120 * dt
@@ -728,6 +746,11 @@ func (k *Kernel) Tick(now, dt float64) {
 	// /proc/locks a time-varying channel.
 	if k.rng.Float64() < 0.2*dt {
 		k.sysLockSeq++
+		if len(k.sysLocks) == maxSysLocks {
+			// Slide the window down inside its fixed backing array.
+			copy(k.sysLocks, k.sysLocks[1:])
+			k.sysLocks = k.sysLocks[:maxSysLocks-1]
+		}
 		k.sysLocks = append(k.sysLocks, FileLock{
 			ID:      -int(k.sysLockSeq), // negative IDs: kernel-internal rows
 			Type:    "FLOCK",
@@ -736,15 +759,13 @@ func (k *Kernel) Tick(now, dt float64) {
 			HostPID: 100 + int(k.sysLockSeq)%50,
 			Inode:   uint64(k.rng.Intn(1 << 20)),
 		})
-		if len(k.sysLocks) > 6 {
-			k.sysLocks = k.sysLocks[1:]
-		}
 	}
 
-	// 11. Scheduler-domain balancing cost random walk.
-	for i := range k.newidleCost {
-		delta := k.rng.Intn(2001) - 1000
-		v := int64(k.newidleCost[i]) + int64(delta)
+	// 11. Scheduler-domain balancing cost random walk: one Intn(2001)
+	// step per CPU, drawn as a batch.
+	k.rng.FillInt31n(k.newidleSteps, 2001)
+	for i, step := range k.newidleSteps {
+		v := int64(k.newidleCost[i]) + int64(step-1000)
 		if v < 5000 {
 			v = 5000
 		}
@@ -792,6 +813,10 @@ func (k *Kernel) quotaFactors() map[string]float64 {
 // C6): deeper states get the longer residencies. Package-level so Tick's
 // hot loop indexes a constant array instead of building a literal.
 var idleWeights = [4]float64{0.01, 0.09, 0.3, 0.6}
+
+// maxSysLocks is how many system-daemon locks the tick's lock churn keeps:
+// each new lock beyond it retires the oldest.
+const maxSysLocks = 6
 
 // jitter returns a multiplicative noise factor in [1-a, 1+a]. It must stay
 // within the compiler's inlining budget (go build -gcflags='-m' reports

@@ -284,7 +284,7 @@ func (k *Kernel) Restore(s *Snapshot) {
 	k.nextPID = s.nextPID
 
 	k.nextLockID = s.nextLockID
-	k.sysLocks = append(k.sysLocks[:0:0], s.sysLocks...)
+	k.sysLocks = append(k.sysLocks[:0], s.sysLocks...)
 	k.sysLockSeq = s.sysLockSeq
 
 	copy(k.cpu, s.cpu)
